@@ -14,6 +14,7 @@ kept alongside as ablation baselines.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -154,8 +155,90 @@ def _check_segment_latents(latents: Sequence[np.ndarray], plan: SegmentPlan):
             raise ValueError("segments disagree on latent shape")
 
 
-def _holders(plan: SegmentPlan, frame: int) -> list[int]:
-    return [i for i, (s, e) in enumerate(plan.segments) if s <= frame < e]
+@dataclass(frozen=True)
+class _OverlapTable:
+    """Where every shared frame lives in the (S*N, ...) row view of a stack.
+
+    Frame table entry j describes the j-th shared frame in frame order:
+    ``prev[j]``/``next[j]`` are the rows of its copies in the deciding
+    adjacent pair (the later pair where three or more segments hold the
+    frame), ``w_next[j]``/``w_prev[j]`` that pair's blend weights, shaped
+    (F, 1) to broadcast over a row. ``copies[k]`` is (entries, rows) for
+    the k-th holder in segment order: which entries have one (a slice
+    when all do) and that holder's rows; fused values are scattered back
+    to every one of them. ``count`` is the holder count as float (F, 1).
+    """
+
+    prev: np.ndarray
+    next: np.ndarray
+    w_next: np.ndarray
+    w_prev: np.ndarray
+    copies: tuple[tuple[slice | np.ndarray, np.ndarray], ...]
+    count: np.ndarray
+
+
+def _overlap_table(plan: SegmentPlan) -> _OverlapTable:
+    n = plan.frames_per_segment
+    decider: dict[int, tuple[int, int, float]] = {}
+    for i in range(len(plan) - 1):
+        s_prev, e_prev = plan.segment(i)
+        s_next = plan.starts[i + 1]
+        w = overlap_weights(plan.context_overlap, e_prev - s_next)
+        for m, f in enumerate(range(s_next, e_prev)):
+            decider[f] = (i * n + f - s_prev, (i + 1) * n + m, float(w[m]))
+    frames = sorted(decider)
+    entry = {f: j for j, f in enumerate(frames)}
+    holders: list[list[int]] = [[] for _ in frames]
+    for i, (s, e) in enumerate(plan.segments):
+        for f in range(s, e):
+            if f in entry:
+                holders[entry[f]].append(i * n + f - s)
+
+    def index(values) -> np.ndarray:
+        return np.array(values, dtype=np.intp)
+
+    copies = []
+    for k in range(max(map(len, holders), default=0)):
+        sel = [j for j, h in enumerate(holders) if len(h) > k]
+        copies.append((slice(None) if len(sel) == len(holders) else index(sel),
+                       index([holders[j][k] for j in sel])))
+    w_next = np.array([decider[f][2] for f in frames]).reshape(-1, 1)
+    return _OverlapTable(
+        prev=index([decider[f][0] for f in frames]),
+        next=index([decider[f][1] for f in frames]),
+        w_next=w_next, w_prev=1.0 - w_next,
+        copies=tuple(copies),
+        count=np.array([float(len(h)) for h in holders]).reshape(-1, 1))
+
+
+def _fuse_stack(stack: np.ndarray, table: _OverlapTable, mode: str) -> None:
+    """Fuse a C-contiguous (S, N, ...) float64 stack of segments in place.
+
+    ``progressive`` blends each shared frame's deciding pair,
+    ``uniform`` sums all copies in segment order and divides by their
+    count, ``none`` leaves the stack alone. Fused values are computed
+    from the pre-fusion rows before any row is written, then every copy
+    of a frame receives the same value.
+    """
+    if mode == "none":
+        return
+    rows = stack.reshape(stack.shape[0] * stack.shape[1],
+                         math.prod(stack.shape[2:]))
+    if mode == "progressive":
+        # w_next * next + w_prev * prev with two frame-table-sized buffers
+        value = rows[table.next]
+        value *= table.w_next
+        prev = rows[table.prev]
+        prev *= table.w_prev
+        value += prev
+    else:
+        # summed from 0.0 in segment order, as np.mean over the copies
+        value = np.zeros((len(table.count), rows.shape[1]))
+        for sel, copy_rows in table.copies:
+            value[sel] += rows[copy_rows]
+        value /= table.count
+    for sel, copy_rows in table.copies:
+        rows[copy_rows] = value[sel]
 
 
 def progressive_fuse(latents: Sequence[np.ndarray],
@@ -167,51 +250,24 @@ def progressive_fuse(latents: Sequence[np.ndarray],
     than two segments (possible for a pinned tail) the later adjacent
     pair decides it. Every copy receives the same value.
     """
-    _check_segment_latents(latents, plan)
-    originals = [np.asarray(z, dtype=np.float64) for z in latents]
-    fused: dict[int, np.ndarray] = {}
-    for i in range(len(plan) - 1):
-        s_prev, _e_prev = plan.segment(i)
-        s_next, e_next = plan.segment(i + 1)
-        ov_end = min(plan.segment(i)[1], e_next)
-        w = overlap_weights(plan.context_overlap, ov_end - s_next)
-        for m, f in enumerate(range(s_next, ov_end)):
-            w_next = float(w[m])
-            fused[f] = (w_next * originals[i + 1][f - s_next]
-                        + (1.0 - w_next) * originals[i][f - s_prev])
-    out = [z.copy() for z in originals]
-    for f, value in fused.items():
-        for i in _holders(plan, f):
-            out[i][f - plan.starts[i]] = value
-    return out
+    return fuse_segments(latents, plan, "progressive")
 
 
 def uniform_fuse(latents: Sequence[np.ndarray],
                  plan: SegmentPlan) -> list[np.ndarray]:
     """Replace every copy of a shared frame with the mean of all copies."""
-    _check_segment_latents(latents, plan)
-    originals = [np.asarray(z, dtype=np.float64) for z in latents]
-    out = [z.copy() for z in originals]
-    for f in range(plan.total_frames):
-        holders = _holders(plan, f)
-        if len(holders) < 2:
-            continue
-        value = np.mean([originals[i][f - plan.starts[i]] for i in holders], axis=0)
-        for i in holders:
-            out[i][f - plan.starts[i]] = value
-    return out
+    return fuse_segments(latents, plan, "uniform")
 
 
 def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
                   mode: str) -> list[np.ndarray]:
-    if mode == "progressive":
-        return progressive_fuse(latents, plan)
-    if mode == "uniform":
-        return uniform_fuse(latents, plan)
-    if mode == "none":
-        _check_segment_latents(latents, plan)
-        return [np.asarray(z, dtype=np.float64).copy() for z in latents]
-    raise ValueError(f"unknown fusion mode {mode!r}, expected one of {FUSION_MODES}")
+    """Fuse per-segment arrays per mode; returns new float64 arrays."""
+    if mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {mode!r}, expected one of {FUSION_MODES}")
+    _check_segment_latents(latents, plan)
+    stack = np.array(latents, dtype=np.float64)
+    _fuse_stack(stack, _overlap_table(plan), mode)
+    return list(stack)
 
 
 def assemble(latents: Sequence[np.ndarray], plan: SegmentPlan) -> np.ndarray:
@@ -243,11 +299,18 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     """Denoise-then-fuse over all segments; returns the assembled video.
 
     Segment i starts from Gaussian noise drawn on its own seed stream,
-    so results do not depend on scheduling. Each step applies the
-    denoiser to every segment (optionally across a thread pool, bit
-    identical to the serial path) and then fuses overlaps per mode.
-    Steps count down from `steps` to 1; the per-frame latent shape comes
-    from cond.ref_latent unless given explicitly.
+    so results do not depend on scheduling. All segments live in one
+    (S, N, C, H, W) stack; each step calls the denoiser once per
+    segment, writes its output into that segment's slot, and then fuses
+    overlaps per mode in place using an overlap table built once per
+    call. With ``parallel`` the calls run on one thread pool (at most
+    one worker per core) kept for the whole run; each call writes only
+    its own slot, so the result is bit identical to the serial path.
+    ``on_step(t, latents)`` gets one array per segment after fusion;
+    they are views of the stack that later steps overwrite, so a
+    callback copies whatever it keeps. Steps count down from `steps` to
+    1; the per-frame latent shape comes from cond.ref_latent unless
+    given explicitly.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -261,31 +324,38 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     shape = (plan.frames_per_segment,) + tuple(latent_shape)
 
     conds = []
-    latents = []
+    stack = np.empty((len(plan),) + shape)
     for i, (s, e) in enumerate(plan.segments):
         c = replace(base, frame_offset=s, segment_index=i)
         if (base.pose_features is not None
                 and len(base.pose_features) == plan.total_frames):
             c = replace(c, pose_features=base.pose_features[s:e])
         conds.append(c)
-        latents.append(stream_rng(seed, i, 0).standard_normal(shape))
+        stream_rng(seed, i, 0).standard_normal(shape, out=stack[i])
+    table = _overlap_table(plan)
 
-    for t in range(steps, 0, -1):
-        if parallel:
-            with ThreadPoolExecutor(max_workers=len(latents)) as pool:
-                futures = [pool.submit(denoiser, z, c, t)
-                           for z, c in zip(latents, conds)]
-                stepped = [f.result() for f in futures]
-        else:
-            stepped = [denoiser(z, c, t) for z, c in zip(latents, conds)]
-        for z, before in zip(stepped, latents):
-            if z.shape != before.shape:
-                raise ValueError(f"denoiser changed shape {before.shape} "
-                                 f"-> {z.shape}")
-        latents = fuse_segments(stepped, plan, mode)
-        if on_step is not None:
-            on_step(t, latents)
-    return assemble(latents, plan)
+    def advance(i: int, t: int) -> None:
+        z = denoiser(stack[i], conds[i], t)
+        if z.shape != shape:
+            raise ValueError(f"denoiser changed shape {shape} -> {z.shape}")
+        stack[i] = z
+
+    pool = (ThreadPoolExecutor(max_workers=min(len(plan), os.cpu_count() or 1))
+            if parallel else None)
+    try:
+        for t in range(steps, 0, -1):
+            if pool is None:
+                for i in range(len(plan)):
+                    advance(i, t)
+            else:
+                list(pool.map(advance, range(len(plan)), [t] * len(plan)))
+            _fuse_stack(stack, table, mode)
+            if on_step is not None:
+                on_step(t, list(stack))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return assemble(stack, plan)
 
 
 def frame_difference_profile(video: np.ndarray) -> np.ndarray:
@@ -334,7 +404,10 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     period and phase), and each segment perturbs the phase by a small
     random offset. The denoiser pulls latents a fraction eta toward its
     segment's version of the trajectory per step, so without fusion the
-    seams keep a phase mismatch while fusion reconciles them.
+    seams keep a phase mismatch while fusion reconciles them. The
+    target does not depend on the step, so it is computed once per
+    (frame offset, segment index, segment length) and kept for the
+    denoiser's lifetime.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
@@ -347,12 +420,22 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     seg_phase = stream_rng(seed, 102).uniform(-phase_jitter, phase_jitter,
                                               size=len(plan))
 
+    targets: dict[tuple[int, int, int], np.ndarray] = {}
+
     def denoise(z: np.ndarray, cond: Condition, t: int) -> np.ndarray:
         if z.shape[1:] != shape:
             raise ValueError(f"latents {z.shape[1:]} != instance shape {shape}")
-        frames = cond.frame_offset + np.arange(z.shape[0])
-        angle = (2.0 * math.pi * frames[:, None, None, None] / period
-                 + pixel_phase + seg_phase[cond.segment_index])
-        return z + eta * (np.sin(angle) - z)
+        key = (cond.frame_offset, cond.segment_index, z.shape[0])
+        target = targets.get(key)
+        if target is None:
+            frames = cond.frame_offset + np.arange(z.shape[0])
+            angle = (2.0 * math.pi * frames[:, None, None, None] / period
+                     + pixel_phase + seg_phase[cond.segment_index])
+            target = targets[key] = np.sin(angle)
+        # z + eta * (target - z), evaluated in one fresh array
+        out = target - z
+        out *= eta
+        out += z
+        return out
 
     return denoise

@@ -101,22 +101,41 @@ class PoseSequence:
         return int(sum(f.off_canvas_mask().sum() for f in self.frames))
 
 
+def _finite_number(value, integer: bool) -> float | None:
+    """A JSON number's finite float value, or None for anything else.
+
+    Booleans and strings are not numbers here, and neither is an integer
+    too large for a float.
+    """
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def parse_pose_sequence(data: bytes | str) -> PoseSequence:
     """Parse the keypoint interchange document into a PoseSequence."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise PoseParseError(f"malformed pose document: {e}") from None
     if not isinstance(doc, dict):
         raise PoseParseError("malformed pose document: top level must be an object")
     for key in ("layout", "width", "height", "frames"):
         if key not in doc:
             raise PoseParseError(f"malformed pose document: missing field {key!r}")
+    if not isinstance(doc["layout"], str):
+        raise PoseParseError("layout must be a string")
     layout = get_layout(doc["layout"])
     width, height = doc["width"], doc["height"]
-    if not isinstance(width, int) or not isinstance(height, int):
+    if (_finite_number(width, integer=True) is None
+            or _finite_number(height, integer=True) is None):
         raise PoseParseError("width and height must be integers")
     if width <= 0 or height <= 0:
         raise PoseParseError(f"negative or zero dimensions: {width}x{height}")
@@ -149,9 +168,11 @@ def parse_pose_sequence(data: bytes | str) -> PoseSequence:
 
     fps = doc.get("fps")
     if fps is not None:
-        fps = float(fps)
-        if fps <= 0:
-            raise PoseParseError(f"fps must be positive, got {fps}")
+        value = _finite_number(fps, integer=False)
+        if value is None or value <= 0:
+            raise PoseParseError(f"fps must be a finite positive number, "
+                                 f"got {fps!r}")
+        fps = value
     return PoseSequence(tuple(frames), width, height, fps, clamps)
 
 

@@ -94,6 +94,20 @@ def test_render_pose_malformed_poses_returns_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("fps", [1]), ("layout", ["x"]),
+                                        ("fps", "nan"), ("width", True)])
+def test_render_pose_mistyped_field_returns_2(tmp_path, capsys, key, value):
+    doc = json.loads(pose_doc([person_keypoints()]).decode())
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["render-pose", "--poses", str(bad), "--out",
+               str(tmp_path / "o"), "--width", "8", "--height", "8"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---- weight-map ------------------------------------------------------------
 
 def test_weight_map_outputs(tmp_path, pose_file):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posefuse import fusion
 from posefuse.diffusion import Condition, make_toy_denoiser
 from posefuse.fusion import (FUSION_MODES, SegmentPlan, assemble,
                              boundary_jump_metric, boundary_transitions,
@@ -209,6 +212,63 @@ def test_triple_overlap_consistency():
                   if s <= f < e]
         for c in copies[1:]:
             np.testing.assert_array_equal(copies[0], c)
+    # the later pair (2, 3) decides progressive; uniform sums left to right
+    unif = uniform_fuse(latents, plan)
+    w = overlap_weights(6, 36 - 21)
+    for f in range(21, 26):
+        a, b, c = latents[1][f - 10], latents[2][f - 20], latents[3][f - 21]
+        blend = w[f - 21] * c + (1.0 - w[f - 21]) * b
+        mean = ((a + b) + c) / 3
+        for i, s in ((1, 10), (2, 20), (3, 21)):
+            assert fused[i][f - s].tobytes() == blend.tobytes()
+            assert unif[i][f - s].tobytes() == mean.tobytes()
+    for i, f in ((0, 0), (0, 9), (3, 36)):  # held by one segment only
+        s = plan.starts[i]
+        for out in (fused, unif):
+            assert out[i][f - s].tobytes() == latents[i][f - s].tobytes()
+
+
+def loop_fuse(latents, plan, mode):
+    """Frame-by-frame reference: for progressive the later adjacent pair
+    decides a frame; for uniform every copy takes np.mean of the copies."""
+    holders = lambda f: [i for i, (s, e) in enumerate(plan.segments)
+                         if s <= f < e]
+    fused = {}
+    for f in range(plan.total_frames):
+        held = holders(f)
+        if len(held) < 2 or mode == "none":
+            continue
+        if mode == "uniform":
+            fused[f] = np.mean([latents[i][f - plan.starts[i]] for i in held],
+                               axis=0)
+            continue
+        for i in range(len(plan) - 1):
+            s_next = plan.starts[i + 1]
+            e_prev = plan.segment(i)[1]
+            if s_next <= f < e_prev:
+                w = overlap_weights(plan.context_overlap, e_prev - s_next)
+                w_next = float(w[f - s_next])
+                fused[f] = (w_next * latents[i + 1][f - s_next]
+                            + (1.0 - w_next) * latents[i][f - plan.starts[i]])
+    out = [z.copy() for z in latents]
+    for f, value in fused.items():
+        for i in holders(f):
+            out[i][f - plan.starts[i]] = value
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_fuse_matches_loop_reference_bitwise(N, data):
+    C = data.draw(st.integers(1, N - 1))
+    L = data.draw(st.integers(1, 5 * N))
+    plan = plan_segments(L, N, C)
+    latents = seg_noise(plan, shape=(1, 2, 2),
+                        seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+    for mode in FUSION_MODES:
+        expect = loop_fuse(latents, plan, mode)
+        for got, ref in zip(fuse_segments(latents, plan, mode), expect):
+            assert got.tobytes() == ref.tobytes()
 
 
 # ---- assembly ----------------------------------------------------------
@@ -294,6 +354,26 @@ def test_run_long_denoise_parallel_bitwise_identical():
         threaded = run_long_denoise(den, None, plan, 25, mode, seed=1,
                                     latent_shape=shape, parallel=True)
         assert serial.tobytes() == threaded.tobytes()
+
+
+def test_run_long_denoise_parallel_builds_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(fusion.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(fusion, "ThreadPoolExecutor", CountingPool)
+    plan = plan_segments(36, 16, 6)
+    den = make_phase_instance(plan, (2, 4, 4), seed=1)
+    run_long_denoise(den, None, plan, 25, "progressive", seed=1,
+                     latent_shape=(2, 4, 4), parallel=True)
+    assert len(pools) == 1
+    assert 1 <= pools[0] <= len(plan)
+    run_long_denoise(den, None, plan, 25, "progressive", seed=1,
+                     latent_shape=(2, 4, 4))
+    assert len(pools) == 1
 
 
 def test_run_long_denoise_slices_pose_features():
@@ -435,6 +515,36 @@ def test_phase_instance_validation():
     den = make_phase_instance(plan, (1, 2, 2), 0)
     with pytest.raises(ValueError):
         den(np.zeros((16, 1, 3, 3)), Condition(), 1)
+
+
+def test_phase_instance_closed_form_per_segment():
+    plan = plan_segments(36, 16, 6)
+    shape = (2, 3, 3)
+    seed, eta, jitter = 6, 0.35, 0.3
+    den = make_phase_instance(plan, shape, seed, eta=eta, phase_jitter=jitter)
+    period = stream_rng(seed, 100).uniform(24.0, 48.0, size=shape)
+    pixel_phase = stream_rng(seed, 101).uniform(0.0, 2.0 * math.pi, size=shape)
+    seg_phase = stream_rng(seed, 102).uniform(-jitter, jitter, size=len(plan))
+    rng = np.random.default_rng(0)
+    for t in (25, 7, 1, 25):
+        for i, (s, _e) in enumerate(plan.segments):
+            z = rng.normal(size=(16,) + shape)
+            before = z.copy()
+            frames = s + np.arange(16)
+            angle = (2.0 * math.pi * frames[:, None, None, None] / period
+                     + pixel_phase + seg_phase[i])
+            expect = z + eta * (np.sin(angle) - z)
+            out = den(z, Condition(frame_offset=s, segment_index=i), t)
+            assert out.tobytes() == expect.tobytes()
+            assert z.tobytes() == before.tobytes()
+    # same offset, other segment index: a different target, not a cache hit
+    z = np.zeros((16,) + shape)
+    a = den(z, Condition(frame_offset=10, segment_index=1), 3)
+    b = den(z, Condition(frame_offset=10, segment_index=2), 3)
+    c = den(z, Condition(frame_offset=20, segment_index=1), 3)
+    assert not np.array_equal(a, b) and not np.array_equal(a, c)
+    assert a.tobytes() == den(z, Condition(frame_offset=10,
+                                           segment_index=1), 9).tobytes()
 
 
 def test_smoother_toy_denoiser_in_loop():

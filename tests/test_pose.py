@@ -49,6 +49,12 @@ def test_parse_rejects_bad_dimensions():
         parse_pose_sequence(json.dumps(doc))
 
 
+def with_field(key, value) -> str:
+    doc = json.loads(pose_doc([person_keypoints()]).decode())
+    doc[key] = value
+    return json.dumps(doc)
+
+
 def test_parse_rejects_malformed_document():
     with pytest.raises(PoseParseError):
         parse_pose_sequence(b"{not json")
@@ -56,6 +62,15 @@ def test_parse_rejects_malformed_document():
         parse_pose_sequence(b"[]")
     with pytest.raises(PoseParseError):
         parse_pose_sequence(b'{"layout": "coco_wholebody_133"}')
+    with pytest.raises(PoseParseError):
+        parse_pose_sequence(b"[" * 100_000)
+    with pytest.raises(PoseParseError):
+        parse_pose_sequence('{"width": ' + "1" * 5000 + "}")
+    for key, value in (("layout", ["x"]), ("layout", 133),
+                       ("width", True), ("height", True), ("width", 576.0),
+                       ("width", "576"), ("height", 10 ** 400)):
+        with pytest.raises(PoseParseError):
+            parse_pose_sequence(with_field(key, value))
 
 
 def test_parse_rejects_nonfinite():
@@ -69,6 +84,11 @@ def test_parse_rejects_bad_fps():
     kp = person_keypoints()
     with pytest.raises(PoseParseError, match="fps"):
         parse_pose_sequence(pose_doc([kp], fps=-24.0))
+    for fps in ([1], "nan", "24", True, float("nan"), float("inf"),
+                10 ** 400, {"value": 24}):
+        with pytest.raises(PoseParseError, match="fps"):
+            parse_pose_sequence(with_field("fps", fps))
+    assert parse_pose_sequence(pose_doc([kp], fps=30)).fps == 30.0
     seq = parse_pose_sequence(pose_doc([kp], fps=24.0))
     assert seq.fps == 24.0
 
