@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fusion import FUSION_MODES
+from .pose import _finite_number
 from .render import CONFIDENCE_MODES
 
 DENOISER_KINDS = ("phase_smoother", "analytic_gaussian")
@@ -77,7 +78,11 @@ def config_from_dict(doc: dict) -> RunConfig:
             ok = isinstance(value, int) and not isinstance(value, bool)
         elif isinstance(have, float):
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            value = float(value)
+            if ok:
+                value = _finite_number(value, integer=False)
+                if value is None:
+                    raise ConfigError(f"{key} must be a finite float, got "
+                                      f"{doc[key]!r:.40}")
         else:
             ok = isinstance(value, str)
         if not ok:
@@ -123,8 +128,10 @@ def _validate(cfg: RunConfig) -> None:
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+        # integer over the interpreter's digit limit; deep nesting recurses
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
     return config_from_dict(doc)
 
 

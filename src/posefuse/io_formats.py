@@ -12,6 +12,7 @@ byte-identical, which the deterministic CLI outputs rely on.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -58,7 +59,7 @@ def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     dims = struct.unpack(f"<{ndim}I", data[offset + 7:dims_end])
     if any(d < 1 for d in dims):
         raise FormatError(f"MMTL dims must be >= 1, got {dims}")
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # exact: an int64 product can wrap
     end = dims_end + 4 * count
     if len(data) < end:
         raise FormatError(f"MMTL payload truncated: need {4 * count} bytes")
@@ -81,9 +82,29 @@ def read_mmtl(path: str | Path) -> np.ndarray:
     return mmtl_decode(Path(path).read_bytes())
 
 
+# Elements quantized per pass of image_to_u8: a 512 KiB float64 buffer
+# stays in cache across its multiply, round and clip.
+_QUANTIZE_CHUNK = 1 << 16
+
+
 def image_to_u8(img: np.ndarray) -> np.ndarray:
-    """Quantize float values in [0, 1] to bytes via round(255 * v)."""
-    return np.clip(np.rint(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
+    """Quantize float values in [0, 1] to bytes via round(255 * v).
+
+    The same multiply, round and clip as ``clip(rint(255 * v), 0, 255)``,
+    run chunk by chunk in one small reused buffer; the input is never
+    written to.
+    """
+    a = np.asarray(img)
+    flat = a.reshape(-1)
+    out = np.empty(flat.shape, np.uint8)
+    buf = np.empty(min(flat.size, _QUANTIZE_CHUNK), np.result_type(a, 255.0))
+    for s in range(0, flat.size, _QUANTIZE_CHUNK):
+        b = buf[:min(_QUANTIZE_CHUNK, flat.size - s)]
+        np.multiply(flat[s:s + b.size], 255.0, out=b)
+        np.rint(b, out=b)
+        np.clip(b, 0, 255, out=b)
+        out[s:s + b.size] = b
+    return out.reshape(a.shape)
 
 
 def ppm_encode(rgb_u8: np.ndarray) -> bytes:

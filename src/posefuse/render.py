@@ -7,6 +7,14 @@ baseline that omits anything below a fixed cutoff and draws survivors at
 full palette color. Overlapping strokes composite by per-channel max,
 which is order-independent and keeps values in [0, 1]. No anti-aliasing:
 a pixel is covered iff its center lies within the stroke.
+
+Each frame is drawn in vectorised passes over batches of strokes: every
+stroke's clipped bounding box is flattened into pixel lists, the disc or
+capsule coverage test runs elementwise over all of them, and covered
+pixels composite into the canvas with one ``np.maximum.at`` per batch.
+The test is the same float expression a per-stroke loop evaluates, and
+max is exact and order-free, so batching does not change a single
+output bit.
 """
 
 from __future__ import annotations
@@ -51,43 +59,89 @@ class GuidanceMap:
         self.data.setflags(write=False)
 
 
-def _paint_disc(canvas: np.ndarray, cx: float, cy: float, r: float,
-                value: np.ndarray) -> None:
-    h, w = canvas.shape[:2]
-    x0 = max(0, int(np.floor(cx - r)) - 1)
-    x1 = min(w, int(np.ceil(cx + r)) + 1)
-    y0 = max(0, int(np.floor(cy - r)) - 1)
-    y1 = min(h, int(np.ceil(cy + r)) + 1)
-    if x0 >= x1 or y0 >= y1:
-        return
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    mask = (xs + 0.5 - cx) ** 2 + (ys + 0.5 - cy) ** 2 <= r * r
-    region = canvas[y0:y1, x0:x1]
-    region[mask] = np.maximum(region[mask], value)
+# Strokes rasterized per vectorised pass. Small batches keep the flat
+# pixel lists (a few arrays over every pixel of every box in the batch)
+# to a few megabytes at 576x1024.
+_STROKE_BATCH = 32
 
 
-def _paint_capsule(canvas: np.ndarray, ax: float, ay: float, bx: float,
-                   by: float, half: float, value: np.ndarray) -> None:
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        _paint_disc(canvas, ax, ay, half, value)
-        return
-    h, w = canvas.shape[:2]
-    x0 = max(0, int(np.floor(min(ax, bx) - half)) - 1)
-    x1 = min(w, int(np.ceil(max(ax, bx) + half)) + 1)
-    y0 = max(0, int(np.floor(min(ay, by) - half)) - 1)
-    y1 = min(h, int(np.ceil(max(ay, by) + half)) + 1)
-    if x0 >= x1 or y0 >= y1:
-        return
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    px = xs + 0.5 - ax
-    py = ys + 0.5 - ay
-    t = np.clip((px * dx + py * dy) / seg2, 0.0, 1.0)
-    d2 = (px - t * dx) ** 2 + (py - t * dy) ** 2
-    mask = d2 <= half * half
-    region = canvas[y0:y1, x0:x1]
-    region[mask] = np.maximum(region[mask], value)
+def _box_bounds(lo: np.ndarray, hi: np.ndarray, size: int):
+    """Integer [start, stop) pixel ranges covering [lo, hi], one pixel of
+    margin on each side, clipped to [0, size].
+
+    The float bounds are clipped before the int64 cast, so far-off-canvas
+    and even infinite coordinates give empty ranges instead of overflow.
+    """
+    start = np.clip(np.floor(lo) - 1, 0, size).astype(np.int64)
+    stop = np.clip(np.ceil(hi) + 1, 0, size).astype(np.int64)
+    return start, stop
+
+
+def _box_pixels(x0, x1, y0, y1):
+    """Every pixel of every stroke's box, stroke by stroke, row by row.
+
+    Returns the per-stroke pixel counts (``np.repeat`` by them spreads a
+    per-stroke value over its pixels) and the flat x and y lists.
+    """
+    nx = np.maximum(x1 - x0, 0)
+    ny = np.where(nx > 0, np.maximum(y1 - y0, 0), 0)
+    rows = np.arange(ny.sum()) + np.repeat(y0 - (np.cumsum(ny) - ny), ny)
+    row_nx = np.repeat(nx, ny)
+    row_x0 = np.repeat(x0, ny) - (np.cumsum(row_nx) - row_nx)
+    xs = np.arange(row_nx.sum()) + np.repeat(row_x0, row_nx)
+    return nx * ny, xs, np.repeat(rows, row_nx)
+
+
+def _composite(canvas: np.ndarray, width: int, count, xs, ys, mask,
+               values: np.ndarray) -> None:
+    """canvas[y, x, :] = max(canvas[y, x, :], value) over masked pixels,
+    with ``canvas`` the flat (H*W*3) image; ``np.maximum.at`` is
+    unbuffered, so pixels covered by several strokes keep the largest."""
+    flat = (ys[mask] * width + xs[mask]) * 3
+    idx = (flat[:, None] + np.arange(3)).ravel()
+    stroke = np.repeat(np.arange(len(count)), count)[mask]
+    np.maximum.at(canvas, idx, values[stroke].ravel())
+
+
+def _paint_discs(canvas, width, height, cx, cy, r, values) -> None:
+    for s in range(0, len(cx), _STROKE_BATCH):
+        b = slice(s, s + _STROKE_BATCH)
+        x0, x1 = _box_bounds(cx[b] - r[b], cx[b] + r[b], width)
+        y0, y1 = _box_bounds(cy[b] - r[b], cy[b] + r[b], height)
+        count, xs, ys = _box_pixels(x0, x1, y0, y1)
+        rr = np.repeat(r[b] * r[b], count)
+        mask = ((xs + 0.5 - np.repeat(cx[b], count)) ** 2
+                + (ys + 0.5 - np.repeat(cy[b], count)) ** 2 <= rr)
+        _composite(canvas, width, count, xs, ys, mask, values[b])
+
+
+def _paint_capsules(canvas, width, height, ax, ay, bx, by, half,
+                    values) -> None:
+    for s in range(0, len(ax), _STROKE_BATCH):
+        b = slice(s, s + _STROKE_BATCH)
+        x0, x1 = _box_bounds(np.minimum(ax[b], bx[b]) - half,
+                             np.maximum(ax[b], bx[b]) + half, width)
+        y0, y1 = _box_bounds(np.minimum(ay[b], by[b]) - half,
+                             np.maximum(ay[b], by[b]) + half, height)
+        count, xs, ys = _box_pixels(x0, x1, y0, y1)
+        sdx, sdy = bx[b] - ax[b], by[b] - ay[b]
+        seg2 = np.repeat(sdx * sdx + sdy * sdy, count)
+        dx, dy = np.repeat(sdx, count), np.repeat(sdy, count)
+        px = xs + 0.5 - np.repeat(ax[b], count)
+        py = ys + 0.5 - np.repeat(ay[b], count)
+        t = np.clip((px * dx + py * dy) / seg2, 0.0, 1.0)
+        d2 = (px - t * dx) ** 2 + (py - t * dy) ** 2
+        _composite(canvas, width, count, xs, ys, d2 <= half * half,
+                   values[b])
+
+
+def _drawn(conf: np.ndarray, colors: np.ndarray, style: RenderStyle):
+    """Which strokes are drawn, and the colors they are drawn in."""
+    if style.confidence_mode == "threshold":
+        keep = conf >= style.threshold
+        return keep, colors[keep]
+    keep = conf != 0.0
+    return keep, colors[keep] * conf[keep, None]
 
 
 def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
@@ -100,39 +154,35 @@ def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
     half = max(1.0, style.limb_thickness * scale) / 2.0
 
     layout = frame.layout
-    canvas = np.zeros((height, width, 3))
-    px = frame.x * width
-    py = frame.y * height
     conf = frame.conf
-    thresholded = style.confidence_mode == "threshold"
+    a, b = np.array([(i, j) for i, j, _group in layout.edges],
+                    dtype=np.intp).reshape(-1, 2).T
+    # a limb takes the lower endpoint confidence
+    limb_keep, limb_values = _drawn(np.minimum(conf[a], conf[b]),
+                                    layout.edge_colors, style)
+    kp_keep, kp_values = _drawn(conf, layout.keypoint_colors, style)
+    a, b = a[limb_keep], b[limb_keep]
 
-    for e, (a, b, _group) in enumerate(layout.edges):
-        c = min(conf[a], conf[b])
-        color = layout.edge_colors[e]
-        if thresholded:
-            if c < style.threshold:
-                continue
-            value = color
-        else:
-            if c == 0.0:
-                continue
-            value = color * c
-        _paint_capsule(canvas, px[a], py[a], px[b], py[b], half, value)
-
-    for i in range(layout.keypoint_count):
-        c = conf[i]
-        color = layout.keypoint_colors[i]
-        if thresholded:
-            if c < style.threshold:
-                continue
-            value = color
-        else:
-            if c == 0.0:
-                continue
-            value = color * c
-        _paint_disc(canvas, px[i], py[i], radius, value)
-
-    return GuidanceMap(width, height, canvas)
+    canvas = np.zeros(height * width * 3)
+    # Far-off-canvas keypoints are valid input. Their squared lengths
+    # may overflow to inf (and a test to NaN, which covers nothing)
+    # exactly as in a per-stroke loop; the warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = frame.x * width
+        py = frame.y * height
+        dx, dy = px[b] - px[a], py[b] - py[a]
+        # a limb of zero length is a disc of radius ``half`` at its start
+        dot = dx * dx + dy * dy == 0.0
+        line = ~dot
+        _paint_capsules(canvas, width, height, px[a[line]], py[a[line]],
+                        px[b[line]], py[b[line]], half, limb_values[line])
+        _paint_discs(canvas, width, height,
+                     np.concatenate([px[a[dot]], px[kp_keep]]),
+                     np.concatenate([py[a[dot]], py[kp_keep]]),
+                     np.concatenate([np.full(dot.sum(), half),
+                                     np.full(kp_keep.sum(), radius)]),
+                     np.concatenate([limb_values[dot], kp_values]))
+    return GuidanceMap(width, height, canvas.reshape(height, width, 3))
 
 
 def render_sequence(seq: PoseSequence, style: RenderStyle, width: int,

@@ -216,6 +216,22 @@ def test_longvideo_invalid_json_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"eta": ' + "1" * 400 + "}",
+    '{"period_max": 1e999}',
+    '{"w_hand": 1e999}',
+    '{"eta": [1]}',
+], ids=["deep-nesting", "400-digit-eta", "inf-period_max", "inf-w_hand",
+        "list-eta"])
+def test_longvideo_hostile_config_returns_2(tmp_path, capsys, text):
+    cfg = tmp_path / "hostile.json"
+    cfg.write_text(text, encoding="utf-8")
+    rc = main(["longvideo", "--config", str(cfg)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_longvideo_rejects_unknown_mode(tmp_path):
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -32,9 +33,13 @@ def test_load_from_file(tmp_path):
 
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text("{nope", encoding="utf-8")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        load_run_config(path)
+    for data in (b"{nope",
+                 b"[" * 100_000 + b"]" * 100_000,       # nested too deep
+                 b'{"seed": ' + b"9" * 5000 + b"}",     # over the digit limit
+                 b'{"out_dir": "\xff"}'):              # not UTF-8
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_run_config(path)
 
 
 def test_unknown_keys_rejected():
@@ -56,8 +61,9 @@ def test_type_strictness():
         config_from_dict({"steps": True})
     with pytest.raises(ConfigError, match="parallel: expected bool"):
         config_from_dict({"parallel": 1})
-    with pytest.raises(ConfigError, match="expected float"):
-        config_from_dict({"eta": "0.5"})
+    for value in ("0.5", [1], None):
+        with pytest.raises(ConfigError, match="eta: expected float"):
+            config_from_dict({"eta": value})
     with pytest.raises(ConfigError, match="mode: expected str"):
         config_from_dict({"mode": 3})
 
@@ -114,3 +120,24 @@ def test_json_dump_is_flat_and_sorted():
     keys = list(doc)
     assert keys == sorted(keys)
     assert all(not isinstance(v, (dict, list)) for v in doc.values())
+
+
+@pytest.mark.parametrize("key", ["eta", "period_max", "w_hand", "threshold",
+                                 "mu", "pad_frac"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                   int("1" * 400)],
+                         ids=["inf", "-inf", "nan", "400-digit-int"])
+def test_float_keys_must_be_finite(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be a finite float"):
+        config_from_dict({key: value})
+
+
+def test_non_finite_json_literals_rejected_at_load(tmp_path):
+    # 1e999 parses as inf; without the check period_max passes validation
+    # and fails later inside the phase stand-in
+    path = tmp_path / "run.json"
+    for text in ('{"period_max": 1e999}', '{"w_hand": 1e999}',
+                 '{"mu": NaN}', '{"sigma0": -Infinity}'):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="must be a finite float"):
+            load_run_config(path)

@@ -19,6 +19,9 @@ from posefuse.posenet import init_posenet_weights
 
 # ---- MMTL --------------------------------------------------------------
 
+MMTL_HEADER_4D = b"MMTL" + bytes([1, 1, 4])
+
+
 def test_mmtl_known_bytes():
     arr = np.array([1.0, 2.0], dtype=np.float32)
     blob = mmtl_encode(arr)
@@ -120,6 +123,14 @@ def test_mmtl_rejects_truncation():
         mmtl_decode(blob[:-4])      # payload cut short
 
 
+@pytest.mark.parametrize("dim", [65536, 2 ** 32 - 1])
+def test_mmtl_rejects_dims_whose_product_wraps_int64(dim):
+    # (65536,)*4 is 2**64 elements: an int64 product wraps to 0
+    blob = MMTL_HEADER_4D + struct.pack("<4I", *(dim,) * 4) + b"\0" * 16
+    with pytest.raises(FormatError, match="truncated"):
+        mmtl_decode(blob)
+
+
 def test_mmtl_rejects_trailing_bytes():
     blob = mmtl_encode(np.float32([1.0])) + b"\x00"
     with pytest.raises(FormatError, match="trailing"):
@@ -192,6 +203,44 @@ def test_image_to_u8_rounding_and_clipping():
     out = image_to_u8(img)
     assert out.dtype == np.uint8
     np.testing.assert_array_equal(out, [0, 255, 128, 0, 255])
+
+
+def _one_line_image_to_u8(img):
+    return np.clip(np.rint(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(img=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3),
+                      elements=st.one_of(
+                          st.floats(-3.0, 4.0),
+                          # exact .5/255 rounding ties and their neighbours
+                          st.integers(0, 254).map(lambda k: (k + 0.5) / 255),
+                          st.integers(0, 254).map(
+                              lambda k: np.nextafter((k + 0.5) / 255, 2.0)))))
+def test_image_to_u8_matches_one_line_quantizer(img):
+    img.setflags(write=False)
+    before = img.tobytes()
+    out = image_to_u8(img)
+    expect = _one_line_image_to_u8(img)
+    assert out.dtype == np.uint8 and out.shape == img.shape
+    assert out.tobytes() == expect.tobytes()
+    assert img.tobytes() == before
+
+
+def test_image_to_u8_matches_one_line_quantizer_across_chunks():
+    # a 576x1024 frame spans many quantizer chunks; values include
+    # out-of-range ones and exact ties at every chunk boundary
+    rng = np.random.default_rng(5)
+    img = rng.uniform(-0.5, 1.5, size=(1024, 576, 3))
+    flat = img.reshape(-1)
+    flat[::1 << 12] = (rng.integers(0, 255, flat[::1 << 12].size) + 0.5) / 255
+    img.setflags(write=False)
+    before = img.tobytes()
+    assert image_to_u8(img).tobytes() == _one_line_image_to_u8(img).tobytes()
+    assert img.tobytes() == before
+    transposed = img.transpose(1, 0, 2)  # non-contiguous input
+    assert image_to_u8(transposed).tobytes() == \
+        _one_line_image_to_u8(transposed).tobytes()
 
 
 def test_weight_map_preview_levels():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from posefuse.pose import PoseFrame
 from posefuse.render import (REFERENCE_HEIGHT, GuidanceMap, RenderStyle,
@@ -180,3 +183,172 @@ def test_render_sequence_order_and_determinism():
     for a, b in zip(maps, again):
         assert a.data.tobytes() == b.data.tobytes()
     assert maps[0].data.tobytes() != maps[1].data.tobytes()  # drifted frames
+
+
+# ---- batched rasterizer against a per-stroke reference ---------------------
+
+def _ref_paint_disc(canvas, cx, cy, r, value):
+    h, w = canvas.shape[:2]
+    x0 = max(0, int(np.floor(cx - r)) - 1)
+    x1 = min(w, int(np.ceil(cx + r)) + 1)
+    y0 = max(0, int(np.floor(cy - r)) - 1)
+    y1 = min(h, int(np.ceil(cy + r)) + 1)
+    if x0 >= x1 or y0 >= y1:
+        return
+    ys, xs = np.mgrid[y0:y1, x0:x1]
+    mask = (xs + 0.5 - cx) ** 2 + (ys + 0.5 - cy) ** 2 <= r * r
+    region = canvas[y0:y1, x0:x1]
+    region[mask] = np.maximum(region[mask], value)
+
+
+def _ref_paint_capsule(canvas, ax, ay, bx, by, half, value):
+    dx, dy = bx - ax, by - ay
+    seg2 = dx * dx + dy * dy
+    if seg2 == 0.0:
+        _ref_paint_disc(canvas, ax, ay, half, value)
+        return
+    h, w = canvas.shape[:2]
+    x0 = max(0, int(np.floor(min(ax, bx) - half)) - 1)
+    x1 = min(w, int(np.ceil(max(ax, bx) + half)) + 1)
+    y0 = max(0, int(np.floor(min(ay, by) - half)) - 1)
+    y1 = min(h, int(np.ceil(max(ay, by) + half)) + 1)
+    if x0 >= x1 or y0 >= y1:
+        return
+    ys, xs = np.mgrid[y0:y1, x0:x1]
+    px = xs + 0.5 - ax
+    py = ys + 0.5 - ay
+    t = np.clip((px * dx + py * dy) / seg2, 0.0, 1.0)
+    d2 = (px - t * dx) ** 2 + (py - t * dy) ** 2
+    mask = d2 <= half * half
+    region = canvas[y0:y1, x0:x1]
+    region[mask] = np.maximum(region[mask], value)
+
+
+def reference_render(frame, style, width, height):
+    """One np.mgrid box and mask per stroke, limbs first, then keypoints."""
+    scale = height / REFERENCE_HEIGHT
+    radius = max(1.0, style.keypoint_radius * scale)
+    half = max(1.0, style.limb_thickness * scale) / 2.0
+    layout = frame.layout
+    canvas = np.zeros((height, width, 3))
+    px, py, conf = frame.x * width, frame.y * height, frame.conf
+    thresholded = style.confidence_mode == "threshold"
+    strokes = [(min(conf[a], conf[b]), layout.edge_colors[e], (a, b))
+               for e, (a, b, _group) in enumerate(layout.edges)]
+    strokes += [(conf[i], layout.keypoint_colors[i], (i,))
+                for i in range(layout.keypoint_count)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, color, ends in strokes:
+            if thresholded:
+                if c < style.threshold:
+                    continue
+                value = color
+            else:
+                if c == 0.0:
+                    continue
+                value = color * c
+            if len(ends) == 2:
+                a, b = ends
+                _ref_paint_capsule(canvas, px[a], py[a], px[b], py[b], half,
+                                   value)
+            else:
+                _ref_paint_disc(canvas, px[ends[0]], py[ends[0]], radius,
+                                value)
+    return canvas
+
+
+_EDGE_COUNT = len(WHOLEBODY_133.edges)
+_HUGE = (1e200, -1e200, 3e150, -7e100)
+
+
+@st.composite
+def hostile_frames(draw):
+    """Whole-body frames mixing on-canvas, edge, far-off and huge points,
+    zero and fractional confidences, and limbs of zero length."""
+    coord = st.one_of(st.floats(-0.3, 1.3), st.sampled_from((0.0, 0.5, 1.0)),
+                      st.floats(-40.0, 40.0), st.sampled_from(_HUGE))
+    xy = draw(hnp.arrays(np.float64, (133, 2), elements=coord))
+    conf = draw(hnp.arrays(np.float64, 133, elements=st.one_of(
+        st.just(0.0), st.sampled_from((0.3, 1.0)), st.floats(0.0, 1.0))))
+    for e in draw(st.lists(st.integers(0, _EDGE_COUNT - 1), max_size=12)):
+        a, b, _group = WHOLEBODY_133.edges[e]
+        xy[b] = xy[a]  # coincident endpoints: a zero-length limb
+    return norm_frame(np.column_stack([xy, conf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame=hostile_frames(),
+       width=st.integers(8, 320), height=st.integers(8, 320),
+       mode=st.sampled_from(("scaled", "threshold")),
+       threshold=st.sampled_from((0.0, 0.3, 0.5, 1.0)),
+       keypoint_radius=st.floats(1.0, 12.0),
+       limb_thickness=st.floats(1.0, 12.0))
+def test_render_matches_per_stroke_reference(frame, width, height, mode,
+                                             threshold, keypoint_radius,
+                                             limb_thickness):
+    style = RenderStyle(keypoint_radius=keypoint_radius,
+                        limb_thickness=limb_thickness, confidence_mode=mode,
+                        threshold=threshold)
+    expect = reference_render(frame, style, width, height)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # far-off points render quietly
+        gm = render_frame(frame, style, width, height)
+    assert gm.data.tobytes() == expect.tobytes()
+
+
+def test_render_matches_reference_on_person_sizes():
+    for frame in person_sequence(3).frames:
+        for width, height in ((8, 8), (96, 128), (576, 1024), (1024, 576)):
+            for style in (RenderStyle(),
+                          RenderStyle(confidence_mode="threshold")):
+                gm = render_frame(frame, style, width, height)
+                expect = reference_render(frame, style, width, height)
+                assert gm.data.tobytes() == expect.tobytes()
+
+
+def test_zero_length_limb_is_a_disc_of_half_thickness():
+    # elbow and wrist coincide: the limb is a disc of radius half (6 px at
+    # the reference height) in the edge color, wider than the 1 px
+    # keypoint discs on top of it
+    kp = np.zeros((133, 3))
+    kp[:, :2] = -10.0
+    kp[7] = (0.5, 0.5, 1.0)
+    kp[9] = (0.5, 0.5, 0.5)
+    frame = norm_frame(kp)
+    style = RenderStyle(keypoint_radius=1.0, limb_thickness=12.0)
+    size = REFERENCE_HEIGHT
+    gm = render_frame(frame, style, size, size)
+    edge = [i for i, (a, b, _g) in enumerate(WHOLEBODY_133.edges)
+            if (a, b) == (7, 9)][0]
+    np.testing.assert_array_equal(gm.data[size // 2, size // 2 + 4],
+                                  WHOLEBODY_133.edge_colors[edge] * 0.5)
+    assert not gm.data[size // 2, size // 2 + 7].any()
+    assert gm.data.tobytes() == \
+        reference_render(frame, style, size, size).tobytes()
+
+
+def test_far_off_limb_renders_quietly():
+    # one elbow so far away that the limb to the wrist overflows its
+    # squared length; the wrist disc is still drawn and nothing warns
+    kp = np.zeros((133, 3))
+    kp[:, :2] = -10.0
+    kp[7] = (1e200, 0.5, 1.0)
+    kp[9] = (0.5, 0.5, 1.0)
+    frame = norm_frame(kp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gm = render_frame(frame, RenderStyle(), 64, 64)
+    assert gm.data[32, 32].any()
+    assert gm.data.tobytes() == \
+        reference_render(frame, RenderStyle(), 64, 64).tobytes()
+
+
+def test_infinite_pixel_coordinate_draws_nothing_for_it():
+    # a finite normalized x can still overflow to inf once scaled to the
+    # canvas; that keypoint and its limbs draw nothing, the rest as usual
+    kp = person_keypoints()
+    kp[9, 0] = 1.5e308
+    gm = render_frame(norm_frame(kp), RenderStyle(), 96, 128)
+    kp[9, 2] = 0.0
+    assert gm.data.tobytes() == \
+        render_frame(norm_frame(kp), RenderStyle(), 96, 128).data.tobytes()
