@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (PoseParseError, ConfigError, FormatError, LayoutError,
-            ValueError, OSError) as exc:
+            ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .fusion import FUSION_MODES
 from .pose import _finite_number
-from .render import CONFIDENCE_MODES
+from .render import CONFIDENCE_MODES, MAX_ELEMENTS
 
 DENOISER_KINDS = ("phase_smoother", "analytic_gaussian")
 
@@ -107,6 +107,13 @@ def _validate(cfg: RunConfig) -> None:
     need(0 <= cfg.seed < 2 ** 64, "seed must fit in 64 bits")
     need(cfg.latent_channels >= 1 and cfg.latent_height >= 1
          and cfg.latent_width >= 1, "latent dims must be >= 1")
+    # the segment stack run_long_denoise allocates: plan_segments' count
+    # of segments, each min(total_frames, segment_length) frames long
+    n, stride = cfg.segment_length, cfg.segment_length - cfg.context_overlap
+    segments = 1 + max(0, -(-(cfg.total_frames - n) // stride))
+    need(segments * min(cfg.total_frames, n) * cfg.latent_channels
+         * cfg.latent_height * cfg.latent_width <= MAX_ELEMENTS,
+         f"segment latents exceed {MAX_ELEMENTS} elements")
     need(cfg.denoiser in DENOISER_KINDS,
          f"denoiser must be one of {DENOISER_KINDS}")
     need(0 < cfg.eta <= 1, "eta must lie in (0, 1]")
@@ -115,6 +122,8 @@ def _validate(cfg: RunConfig) -> None:
          "need 0 < period_min < period_max")
     need(cfg.sigma0 > 0, "sigma0 must be > 0")
     need(cfg.width >= 8 and cfg.height >= 8, "canvas must be at least 8x8")
+    need(cfg.width * cfg.height * 3 <= MAX_ELEMENTS,
+         f"canvas exceeds {MAX_ELEMENTS} elements")
     need(cfg.keypoint_radius > 0, "keypoint_radius must be > 0")
     need(cfg.limb_thickness > 0, "limb_thickness must be > 0")
     need(cfg.confidence_mode in CONFIDENCE_MODES,

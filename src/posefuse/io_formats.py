@@ -206,26 +206,34 @@ def posenet_weights_from_bytes(data: bytes) -> PoseNetWeights:
         raise FormatError("missing manifest line")
     try:
         manifest = json.loads(data[:nl])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+        # integer over the interpreter's digit limit; deep nesting recurses
         raise FormatError("malformed manifest") from exc
-    layers = manifest.get("layers")
+    layers = manifest.get("layers") if isinstance(manifest, dict) else None
     if not isinstance(layers, list) or len(layers) != len(LAYER_SPECS):
         raise FormatError(f"manifest must list {len(LAYER_SPECS)} layers")
     kernels = []
     biases = []
     offset = nl + 1
     for entry, (name, cin, cout, k, _s, _p) in zip(layers, LAYER_SPECS):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{name}: layer entry must be an object")
         if entry.get("name") != name:
-            raise FormatError(f"layer name {entry.get('name')!r} != {name!r}")
+            raise FormatError(f"layer name {entry.get('name')!r:.40} != {name!r}")
         kern, offset = mmtl_decode_at(data, offset)
         bias, offset = mmtl_decode_at(data, offset)
-        if list(kern.shape) != entry["kernel"] or list(bias.shape) != entry["bias"]:
+        if (list(kern.shape) != entry.get("kernel")
+                or list(bias.shape) != entry.get("bias")):
             raise FormatError(f"{name}: tensor shapes disagree with manifest")
         kernels.append(kern.astype(np.float64))
         biases.append(bias.astype(np.float64))
     if offset != len(data):
         raise FormatError("trailing bytes after weight tensors")
-    return PoseNetWeights(tuple(kernels), tuple(biases))
+    try:  # shapes that agree with the manifest but not with LAYER_SPECS
+        return PoseNetWeights(tuple(kernels), tuple(biases))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def save_posenet_weights(path: str | Path, weights: PoseNetWeights) -> None:

@@ -3,9 +3,13 @@ into latent-resolution feature maps.
 
 Nine conv layers take an RGB guidance image down by a factor of 8
 spatially and up to 320 channels, with SiLU activations between layers
-(none after the last). The forward pass is plain numpy: im2col via
-sliding_window_view plus one matmul per layer. It exists to pin down
-shapes, parameter counts, and deterministic initialization, not speed.
+(none after the last). The forward pass is plain float64 numpy and
+keeps activations channels-last, (N, H, W, C), from the first layer to
+the last. Each layer pads into a fresh zero-border buffer, gathers its
+im2col matrix from one strided window view in (kh, kw, C) order, so
+every copy moves contiguous channel runs, and runs one matmul whose
+output is already the next layer's layout; bias and SiLU are applied
+in place. Only the final output is transposed back to (N, C, H, W).
 """
 
 from __future__ import annotations
@@ -30,33 +34,43 @@ LAYER_SPECS: tuple[tuple[str, int, int, int, int, int], ...] = (
 )
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x), with the sigmoid split by sign for stability."""
-    pos = x >= 0
-    z = np.where(pos, -x, x)  # z <= 0, so exp(z) never overflows
-    ez = np.exp(z)
-    sig = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    return x * sig
+def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * sigmoid(x), computed as x / (1 + exp(-x)) in one temporary.
+
+    exp(-x) overflows to inf for x below about -709, which gives -0.0;
+    ``out`` may be ``x`` itself.
+    """
+    t = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
+    return np.divide(x, t, out=t if out is None else out)
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
            stride: int, padding: int) -> np.ndarray:
-    """2-D cross-correlation. x: (N,C,H,W), kernel: (O,C,k,k), bias: (O,)."""
-    n, c, h, w = x.shape
+    """2-D cross-correlation, channels last.
+
+    x: (N, H, W, C), kernel: (O, C, k, k), bias: (O,) -> (N, OH, OW, O).
+    """
+    n, h, w, c = x.shape
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise ValueError(f"kernel expects {ck} input channels, got {c}")
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"input {h}x{w} too small for kernel {kh} stride {stride}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, C, OH, OW, kh, kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    out = cols @ kernel.reshape(o, c * kh * kw).T + bias
-    return out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+    if padding:
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), x.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x
+        x = xp
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]  # (N, OH, OW, C, kh, kw)
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+    out = cols @ kernel.transpose(0, 2, 3, 1).reshape(o, kh * kw * c).T
+    out += bias
+    return out.reshape(n, oh, ow, o)
 
 
 @dataclass(frozen=True)
@@ -115,8 +129,9 @@ def posenet_forward(x: np.ndarray, weights: PoseNetWeights) -> np.ndarray:
         raise ValueError(f"spatial dims must be divisible by 8, got "
                          f"{x.shape[2]}x{x.shape[3]}")
     last = len(LAYER_SPECS) - 1
+    x = x.transpose(0, 2, 3, 1)
     for i, (_name, _cin, _cout, _k, s, p) in enumerate(LAYER_SPECS):
         x = conv2d(x, weights.kernels[i], weights.biases[i], s, p)
         if i != last:
-            x = silu(x)
-    return x
+            silu(x, out=x)
+    return x.transpose(0, 3, 1, 2)

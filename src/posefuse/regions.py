@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pose import PoseFrame
+from .render import MAX_ELEMENTS
 
 DEFAULT_TAU_HAND = 0.6
 DEFAULT_PAD_FRAC = 0.25
@@ -103,6 +104,9 @@ def build_weight_map(frame: PoseFrame, tau_hand: float, pad_frac: float,
     """Per-pixel loss weights: w_hand inside reliable hand boxes, 1 elsewhere."""
     if w_hand < 1.0:
         raise ValueError("w_hand must be >= 1")
+    if height * width > MAX_ELEMENTS:
+        raise ValueError(f"weight map {width}x{height} exceeds {MAX_ELEMENTS} "
+                         f"elements")
     data = np.ones((height, width))
     for region in hand_regions(frame, tau_hand, pad_frac, width, height):
         if region.reliable and not region.empty:

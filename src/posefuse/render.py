@@ -19,7 +19,7 @@ output bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,12 @@ from .pose import PoseFrame, PoseSequence
 
 REFERENCE_HEIGHT = 768  # style radii are given in pixels at this canvas height
 CONFIDENCE_MODES = ("scaled", "threshold")
+# The most elements posefuse allocates for one canvas (H * W * 3 for a
+# guidance frame, H * W for a weight map) or one stack of segment
+# latents (segments * frames * C * H * W): 2**26 float64 values, 512 MiB.
+# Sizes are checked against it before anything is allocated, so an
+# oversized request fails with ValueError instead of MemoryError.
+MAX_ELEMENTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -50,11 +56,13 @@ class GuidanceMap:
     width: int
     height: int
     data: np.ndarray = field(repr=False)  # (H, W, 3) floats in [0, 1]
+    # render_frame's output lies in [0, 1] by construction; it skips the scan
+    _in_range: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _in_range: bool):
         if self.data.shape != (self.height, self.width, 3):
             raise ValueError("guidance data must be (H, W, 3)")
-        if self.data.min() < 0.0 or self.data.max() > 1.0:
+        if not _in_range and (self.data.min() < 0.0 or self.data.max() > 1.0):
             raise ValueError("guidance values must lie in [0, 1]")
         self.data.setflags(write=False)
 
@@ -149,6 +157,9 @@ def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
     """Draw one pose frame onto a black canvas of the given size."""
     if width < 8 or height < 8:
         raise ValueError("canvas must be at least 8x8 pixels")
+    if height * width * 3 > MAX_ELEMENTS:
+        raise ValueError(f"canvas {width}x{height} exceeds {MAX_ELEMENTS} "
+                         f"elements")
     scale = height / REFERENCE_HEIGHT
     radius = max(1.0, style.keypoint_radius * scale)
     half = max(1.0, style.limb_thickness * scale) / 2.0
@@ -182,7 +193,8 @@ def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
                      np.concatenate([np.full(dot.sum(), half),
                                      np.full(kp_keep.sum(), radius)]),
                      np.concatenate([limb_values[dot], kp_values]))
-    return GuidanceMap(width, height, canvas.reshape(height, width, 3))
+    return GuidanceMap(width, height, canvas.reshape(height, width, 3),
+                       _in_range=True)
 
 
 def render_sequence(seq: PoseSequence, style: RenderStyle, width: int,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from posefuse import cli
 from posefuse.cli import main
 from posefuse.io_formats import pgm_decode, ppm_decode, read_mmtl
 
@@ -108,6 +109,25 @@ def test_render_pose_mistyped_field_returns_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_render_pose_huge_canvas_returns_2(tmp_path, pose_file, capsys):
+    out = tmp_path / "frames"
+    rc = main(["render-pose", "--poses", str(pose_file), "--out", str(out),
+               "--width", "100000000", "--height", "100000000"])
+    assert rc == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_memory_error_returns_2(tmp_path, pose_file, capsys, monkeypatch):
+    def exhausted(*_args):
+        raise MemoryError("Unable to allocate 213. PiB")
+    monkeypatch.setattr(cli, "render_frame", exhausted)
+    rc = main(["render-pose", "--poses", str(pose_file), "--out",
+               str(tmp_path / "frames"), "--width", "48", "--height", "48"])
+    assert rc == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+
+
 # ---- weight-map ------------------------------------------------------------
 
 def test_weight_map_outputs(tmp_path, pose_file):
@@ -129,6 +149,18 @@ def test_weight_map_unit_gain_all_ones(tmp_path, pose_file):
                "--w-hand", "1.0", "--out", str(out)])
     assert rc == 0
     assert (read_mmtl(out) == 1.0).all()
+
+
+def test_weight_map_huge_source_canvas_returns_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_bytes(pose_doc([person_keypoints()], width=10 ** 8,
+                              height=10 ** 8))
+    out = tmp_path / "wm.mmtl"
+    rc = main(["weight-map", "--poses", str(path), "--frame", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_weight_map_frame_out_of_range(tmp_path, pose_file, capsys):
@@ -222,8 +254,9 @@ def test_longvideo_invalid_json_config(tmp_path, capsys):
     '{"period_max": 1e999}',
     '{"w_hand": 1e999}',
     '{"eta": [1]}',
+    '{"latent_height": 1000000000000000}',
 ], ids=["deep-nesting", "400-digit-eta", "inf-period_max", "inf-w_hand",
-        "list-eta"])
+        "list-eta", "huge-latent_height"])
 def test_longvideo_hostile_config_returns_2(tmp_path, capsys, text):
     cfg = tmp_path / "hostile.json"
     cfg.write_text(text, encoding="utf-8")

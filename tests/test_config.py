@@ -2,10 +2,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posefuse.config import (DENOISER_KINDS, ConfigError, RunConfig,
                              config_from_dict, config_to_json,
                              load_run_config)
+from posefuse.fusion import plan_segments
+from posefuse.render import MAX_ELEMENTS
 
 
 def test_defaults_are_valid():
@@ -95,6 +99,14 @@ def test_int_promoted_for_float_fields():
     ({"tau_hand": -0.2}, "tau_hand"),
     ({"pad_frac": -1.0}, "pad_frac"),
     ({"w_hand": 0.5}, "w_hand"),
+    # size caps: integer arithmetic only, nothing is planned or allocated
+    ({"latent_height": 10 ** 15}, "segment latents exceed"),
+    ({"total_frames": 10 ** 15}, "segment latents exceed"),
+    ({"segment_length": 10 ** 12, "context_overlap": 1,
+      "total_frames": 10 ** 12}, "segment latents exceed"),
+    ({"latent_channels": 2 ** 20, "latent_height": 2 ** 20},
+     "segment latents exceed"),
+    ({"width": 10 ** 8, "height": 10 ** 8}, "canvas exceeds"),
 ])
 def test_constraint_messages(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -141,3 +153,34 @@ def test_non_finite_json_literals_rejected_at_load(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="must be a finite float"):
             load_run_config(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=st.integers(1, 400), n=st.integers(2, 40), data=st.data())
+def test_latent_cap_is_the_planned_stack_size(total, n, data):
+    overlap = data.draw(st.integers(1, n - 1))
+    chans = data.draw(st.integers(1, 8))
+    height = data.draw(st.integers(1, 2 ** 12))
+    width = data.draw(st.integers(1, 2 ** 12))
+    plan = plan_segments(total, n, overlap)
+    stack = len(plan) * plan.frames_per_segment * chans * height * width
+    doc = {"total_frames": total, "segment_length": n,
+           "context_overlap": overlap, "latent_channels": chans,
+           "latent_height": height, "latent_width": width}
+    if stack <= MAX_ELEMENTS:
+        config_from_dict(doc)
+    else:
+        with pytest.raises(ConfigError, match="segment latents exceed"):
+            config_from_dict(doc)
+
+
+def test_size_cap_boundaries():
+    # one 16-frame segment of 1 x 2048 x 2048 latents is exactly the cap
+    doc = {"total_frames": 16, "segment_length": 16, "context_overlap": 6,
+           "latent_channels": 1, "latent_height": 2 ** 11,
+           "latent_width": 2 ** 11}
+    assert 16 * 2 ** 22 == MAX_ELEMENTS
+    config_from_dict(doc)
+    with pytest.raises(ConfigError, match="segment latents exceed"):
+        config_from_dict(dict(doc, latent_width=2 ** 11 + 1))
+    config_from_dict({"width": 4096, "height": 4096})  # 3 * 2**24 elements

@@ -293,3 +293,93 @@ def test_posenet_weights_errors():
     short = json.dumps({"format": "posenet-weights", "layers": []}).encode()
     with pytest.raises(FormatError, match="layers"):
         posenet_weights_from_bytes(short + b"\n")
+    # consistent with its own manifest but not with LAYER_SPECS
+    weights = init_posenet_weights(seed=0)
+    manifest = json.loads(blob[:nl])
+    manifest["layers"][8]["bias"] = [321]
+    body = b"".join(mmtl_encode(k) + mmtl_encode(b)
+                    for k, b in zip(weights.kernels[:8], weights.biases[:8]))
+    body += mmtl_encode(weights.kernels[8]) + mmtl_encode(np.zeros(321))
+    with pytest.raises(FormatError, match="conv_out"):
+        posenet_weights_from_bytes(json.dumps(manifest).encode() + b"\n" + body)
+
+
+VALID_WEIGHTS = posenet_weights_bytes(init_posenet_weights(seed=0))
+_NL = VALID_WEIGHTS.index(b"\n")
+
+
+def _with_manifest(manifest) -> bytes:
+    return json.dumps(manifest).encode() + VALID_WEIGHTS[_NL:]
+
+
+def _with_layer(i: int, entry) -> bytes:
+    manifest = json.loads(VALID_WEIGHTS[:_NL])
+    manifest["layers"][i] = entry
+    return _with_manifest(manifest)
+
+
+@pytest.mark.parametrize("blob", [
+    b"[1]" + VALID_WEIGHTS[_NL:],
+    _with_layer(2, "mid1"),
+    _with_layer(4, {"name": "mid2", "bias": [32]}),
+    b"[" * 100_000 + b"]" * 100_000 + VALID_WEIGHTS[_NL:],
+    b'{"format": "\xff\xfe"}' + VALID_WEIGHTS[_NL:],
+    b'{"layers": ' + b"1" * 5000 + b"}" + VALID_WEIGHTS[_NL:],
+], ids=["list-manifest", "string-layer-entry", "missing-kernel-key",
+        "deep-nesting", "non-utf8", "5000-digit-int"])
+def test_posenet_weights_hostile_manifest_is_format_error(blob):
+    with pytest.raises(FormatError):
+        posenet_weights_from_bytes(blob)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["format", "layers", "name", "kernel",
+                                       "bias"]) | st.text(max_size=4),
+                      inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def corrupted_weight_files(draw):
+    blob = bytearray(VALID_WEIGHTS)
+    how = draw(st.sampled_from(["flip", "truncate", "insert", "manifest",
+                                "layer", "raw-manifest"]))
+    if how == "flip":
+        for _ in range(draw(st.integers(1, 8))):
+            # bias the positions toward the manifest and the MMTL headers
+            i = draw(st.integers(0, len(blob) - 1)
+                     | st.integers(0, min(len(blob) - 1, _NL + 64)))
+            blob[i] = draw(st.integers(0, 255))
+        return bytes(blob)
+    if how == "truncate":
+        return bytes(blob[:draw(st.integers(0, len(blob) - 1))])
+    if how == "insert":
+        i = draw(st.integers(0, len(blob)))
+        return bytes(blob[:i] + draw(st.binary(min_size=1, max_size=16))
+                     + blob[i:])
+    if how == "manifest":
+        return _with_manifest(draw(_json_values))
+    if how == "layer":
+        manifest = json.loads(VALID_WEIGHTS[:_NL])
+        i = draw(st.integers(0, 8))
+        key = draw(st.sampled_from([None, "name", "kernel", "bias"]))
+        value = draw(_json_values)
+        if key is None:
+            manifest["layers"][i] = value
+        else:
+            manifest["layers"][i][key] = value
+        return _with_manifest(manifest)
+    return draw(st.binary(max_size=64)) + VALID_WEIGHTS[_NL:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_weight_files())
+def test_posenet_weights_corruption_raises_only_format_error(blob):
+    try:
+        weights = posenet_weights_from_bytes(blob)
+    except FormatError:
+        return
+    # a corruption that decodes must still give a well-formed weight set
+    assert len(weights.kernels) == 9

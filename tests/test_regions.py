@@ -5,6 +5,7 @@ from posefuse.regions import (DEFAULT_PAD_FRAC, DEFAULT_TAU_HAND,
                               LossWeightMap, build_weight_map,
                               downsample_weight_map, hand_bbox, hand_regions,
                               hand_reliability)
+from posefuse.render import MAX_ELEMENTS
 from posefuse.skeleton import WHOLEBODY_133
 
 from conftest import norm_frame, person_keypoints
@@ -178,3 +179,10 @@ def test_downsample_full_pipeline_values(person_frame):
     assert small.data.shape == (128, 72)
     assert set(np.unique(small.data)) <= {1.0, 10.0}
     assert (small.data == 10.0).any()
+
+
+def test_weight_map_size_capped_before_allocation():
+    frame = norm_frame(person_keypoints())
+    with pytest.raises(ValueError, match=f"exceeds {MAX_ELEMENTS} elements"):
+        build_weight_map(frame, DEFAULT_TAU_HAND, DEFAULT_PAD_FRAC, 10.0,
+                         10 ** 8, 10 ** 8)

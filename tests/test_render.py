@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from posefuse import render
 from posefuse.pose import PoseFrame
-from posefuse.render import (REFERENCE_HEIGHT, GuidanceMap, RenderStyle,
-                             render_frame, render_sequence)
+from posefuse.render import (MAX_ELEMENTS, REFERENCE_HEIGHT, GuidanceMap,
+                             RenderStyle, render_frame, render_sequence)
 from posefuse.skeleton import WHOLEBODY_133
 
 from conftest import norm_frame, person_keypoints, person_sequence
@@ -27,12 +28,34 @@ def test_output_shape_and_range(person_frame):
     assert isinstance(gm, GuidanceMap)
     assert gm.data.shape == (96, 128, 3)
     assert gm.data.min() >= 0.0 and gm.data.max() <= 1.0
+    assert not gm.data.flags.writeable  # also on the path that skips the scan
 
 
 def test_canvas_minimum_size(person_frame):
     with pytest.raises(ValueError):
         render_frame(person_frame, RenderStyle(), 4, 64)
     render_frame(person_frame, RenderStyle(), 8, 8)  # boundary accepted
+
+
+def test_canvas_cap_checked_before_allocation(person_frame, monkeypatch):
+    with pytest.raises(ValueError, match=f"exceeds {MAX_ELEMENTS} elements"):
+        render_frame(person_frame, RenderStyle(), 10 ** 8, 10 ** 8)
+    monkeypatch.setattr(render, "MAX_ELEMENTS", 8 * 8 * 3)
+    render_frame(person_frame, RenderStyle(), 8, 8)  # exactly the cap
+    with pytest.raises(ValueError, match="exceeds 192 elements"):
+        render_frame(person_frame, RenderStyle(), 9, 8)
+
+
+def test_guidance_map_checks_outside_arrays():
+    for bad in (1.0 + 1e-12, -1e-12, 2.0):
+        data = np.full((2, 4, 3), 0.5)
+        data[1, 3, 2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            GuidanceMap(4, 2, data)
+    with pytest.raises(ValueError, match="must be"):
+        GuidanceMap(4, 2, np.zeros((4, 2, 3)))
+    gm = GuidanceMap(4, 2, np.full((2, 4, 3), 1.0))
+    assert not gm.data.flags.writeable
 
 
 def test_style_validation():
