@@ -12,20 +12,17 @@ from .diffusion import (AffineParams, Condition, NoiseSchedule, SigmaDist,
                         karras_sigma_sample, linear_beta_schedule,
                         loss_grad_linear, make_toy_denoiser,
                         train_toy_denoiser, weighted_eps_loss)
-from .fusion import (FUSION_MODES, FusionWeights, SegmentPlan, assemble,
+from .fusion import (FUSION_MODES, SegmentPlan, assemble,
                      boundary_jump_metric, boundary_transitions, format_plan,
-                     frame_difference_profile, fusion_lambda, fusion_weights,
-                     make_phase_instance, parse_plan, plan_segments,
-                     progressive_fuse, run_long_denoise, uniform_fuse)
-from .pose import (Keypoint, PoseFrame, PoseParseError, PoseSequence,
-                   parse_pose_sequence, retarget_limb_lengths,
-                   serialize_pose_sequence)
+                     frame_difference_profile, make_phase_instance,
+                     plan_segments, run_long_denoise)
+from .pose import (PoseFrame, PoseParseError, PoseSequence,
+                   parse_pose_sequence, retarget_limb_lengths)
 from .regions import (HandRegion, LossWeightMap, build_weight_map,
                       downsample_weight_map, hand_bbox, hand_regions,
                       hand_reliability)
-from .render import (GuidanceMap, RenderStyle, render_frame, render_sequence)
+from .render import GuidanceMap, RenderStyle, render_frame
 from .seeding import stream_rng, stream_seed
-from .skeleton import (WHOLEBODY_133, LayoutError, SkeletonLayout, get_layout,
-                       register_layout)
+from .skeleton import WHOLEBODY_133, LayoutError, SkeletonLayout, get_layout
 
 __version__ = "0.1.0"

@@ -18,14 +18,14 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
 from .diffusion import linear_beta_schedule, make_toy_denoiser
-from .fusion import (boundary_jump_metric, format_plan,
+from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
                      frame_difference_profile, make_phase_instance,
                      plan_segments, run_long_denoise)
 from .io_formats import (FormatError, image_to_u8, mmtl_encode, pgm_encode,
                          ppm_encode, weight_map_preview)
 from .pose import PoseParseError, parse_pose_sequence
 from .regions import build_weight_map
-from .render import RenderStyle, render_frame
+from .render import CONFIDENCE_MODES, RenderStyle, render_frame
 from .skeleton import LayoutError
 
 
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--mode", choices=("scaled", "threshold"), default="scaled")
+    p.add_argument("--mode", choices=CONFIDENCE_MODES, default="scaled")
     p.add_argument("--tau", type=float, default=0.3,
                    help="confidence cutoff for threshold mode")
     p.set_defaults(func=_cmd_render_pose)
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("longvideo",
                        help="segmented denoising with latent fusion")
     p.add_argument("--config", required=True, help="JSON run configuration")
-    p.add_argument("--mode", choices=("progressive", "uniform", "none"),
+    p.add_argument("--mode", choices=FUSION_MODES,
                    default=None, help="override the config's fusion mode")
     p.set_defaults(func=_cmd_longvideo)
     return parser

@@ -142,7 +142,3 @@ def load_run_config(path: str | Path) -> RunConfig:
         # integer over the interpreter's digit limit; deep nesting recurses
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return config_from_dict(doc)
-
-
-def config_to_json(cfg: RunConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"

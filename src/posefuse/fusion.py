@@ -90,45 +90,6 @@ def format_plan(plan: SegmentPlan) -> str:
             f"{plan.context_overlap}: {starts}")
 
 
-def parse_plan(text: str) -> SegmentPlan:
-    head, _, tail = text.strip().partition(":")
-    try:
-        L, N, C = (int(p) for p in head.split())
-        starts = tuple(int(p) for p in tail.strip().split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed plan text {text!r}") from exc
-    plan = plan_segments(L, N, C)
-    if plan.starts != starts:
-        raise ValueError(f"plan starts {starts} inconsistent with L={L} N={N} C={C}")
-    return plan
-
-
-def fusion_lambda(context_overlap: int) -> float:
-    return 1.0 / (context_overlap + 1)
-
-
-@dataclass(frozen=True)
-class FusionWeights:
-    """Blend weights per overlap position k = 1..C.
-
-    w_next[k-1] = k / (C + 1) goes to the incoming segment's copy and
-    w_prev[k-1] = 1 - w_next[k-1] to the outgoing one; the pair sums to
-    1 exactly in floating point.
-    """
-
-    context_overlap: int
-    w_next: np.ndarray
-    w_prev: np.ndarray
-
-
-def fusion_weights(context_overlap: int) -> FusionWeights:
-    C = context_overlap
-    if C < 1:
-        raise ValueError("context_overlap must be >= 1")
-    w_next = np.array([k / (C + 1) for k in range(1, C + 1)])
-    return FusionWeights(C, w_next, 1.0 - w_next)
-
-
 def overlap_weights(context_overlap: int, overlap_size: int) -> np.ndarray:
     """Incoming-segment weight at each position of an actual overlap.
 
@@ -241,27 +202,17 @@ def _fuse_stack(stack: np.ndarray, table: _OverlapTable, mode: str) -> None:
         rows[copy_rows] = value[sel]
 
 
-def progressive_fuse(latents: Sequence[np.ndarray],
-                     plan: SegmentPlan) -> list[np.ndarray]:
-    """Blend overlapping frame copies with the position-ramped weights.
-
-    Fused values are computed from the pre-fusion arrays, so the order
-    of the two per-pair updates cannot matter; when a frame sits in more
-    than two segments (possible for a pinned tail) the later adjacent
-    pair decides it. Every copy receives the same value.
-    """
-    return fuse_segments(latents, plan, "progressive")
-
-
-def uniform_fuse(latents: Sequence[np.ndarray],
-                 plan: SegmentPlan) -> list[np.ndarray]:
-    """Replace every copy of a shared frame with the mean of all copies."""
-    return fuse_segments(latents, plan, "uniform")
-
-
 def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
                   mode: str) -> list[np.ndarray]:
-    """Fuse per-segment arrays per mode; returns new float64 arrays."""
+    """Fuse per-segment arrays per mode; returns new float64 arrays.
+
+    ``progressive`` blends each shared frame's copies with the
+    position-ramped weights of ``overlap_weights`` (where a pinned tail
+    puts a frame in three or more segments, the later adjacent pair
+    decides it), ``uniform`` replaces every copy with the mean of all
+    copies and ``none`` returns plain copies. Fused values come from the
+    pre-fusion arrays, and every copy of a frame receives the same one.
+    """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}, expected one of {FUSION_MODES}")
     _check_segment_latents(latents, plan)

@@ -74,14 +74,6 @@ def mmtl_decode(data: bytes) -> np.ndarray:
     return arr
 
 
-def write_mmtl(path: str | Path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(mmtl_encode(arr))
-
-
-def read_mmtl(path: str | Path) -> np.ndarray:
-    return mmtl_decode(Path(path).read_bytes())
-
-
 # Elements quantized per pass of image_to_u8: a 512 KiB float64 buffer
 # stays in cache across its multiply, round and clip.
 _QUANTIZE_CHUNK = 1 << 16
@@ -160,22 +152,6 @@ def ppm_decode(data: bytes) -> np.ndarray:
 
 def pgm_decode(data: bytes) -> np.ndarray:
     return _parse_pnm(data, b"P5", 1)
-
-
-def write_ppm(path: str | Path, rgb_u8: np.ndarray) -> None:
-    Path(path).write_bytes(ppm_encode(rgb_u8))
-
-
-def read_ppm(path: str | Path) -> np.ndarray:
-    return ppm_decode(Path(path).read_bytes())
-
-
-def write_pgm(path: str | Path, gray_u8: np.ndarray) -> None:
-    Path(path).write_bytes(pgm_encode(gray_u8))
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    return pgm_decode(Path(path).read_bytes())
 
 
 def weight_map_preview(weights: np.ndarray) -> np.ndarray:

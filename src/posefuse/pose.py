@@ -1,4 +1,4 @@
-"""Keypoint pose sequences: data model, parsing, serialization, retargeting.
+"""Keypoint pose sequences: data model, parsing, retargeting.
 
 The interchange file is a UTF-8 JSON document::
 
@@ -18,7 +18,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +28,6 @@ log = logging.getLogger(__name__)
 
 class PoseParseError(ValueError):
     """The pose interchange document is malformed or inconsistent."""
-
-
-class Keypoint(NamedTuple):
-    x: float
-    y: float
-    conf: float
 
 
 @dataclass(frozen=True)
@@ -66,9 +59,6 @@ class PoseFrame:
     @property
     def conf(self) -> np.ndarray:
         return self.data[:, 2]
-
-    def keypoint(self, i: int) -> Keypoint:
-        return Keypoint(*self.data[i])
 
     def off_canvas_mask(self) -> np.ndarray:
         """True where a keypoint lies outside the unit canvas."""
@@ -174,43 +164,6 @@ def parse_pose_sequence(data: bytes | str) -> PoseSequence:
                                  f"got {fps!r}")
         fps = value
     return PoseSequence(tuple(frames), width, height, fps, clamps)
-
-
-def _pixel_value_for_exact_reload(norm: float, scale: int) -> float:
-    # Pick a pixel coordinate whose division by ``scale`` reproduces the
-    # stored normalized value bit-for-bit; the naive product can be one
-    # ulp off after the round trip.
-    px = norm * scale
-    if px / scale == norm:
-        return px
-    for _ in range(4):
-        px = math.nextafter(px, math.inf if px / scale < norm else -math.inf)
-        if px / scale == norm:
-            return px
-    raise ValueError(f"cannot represent {norm} exactly at scale {scale}")
-
-
-def serialize_pose_sequence(seq: PoseSequence) -> bytes:
-    """Inverse of parse_pose_sequence; reparsing recovers the sequence bitwise."""
-    frames = []
-    for f in seq.frames:
-        kps = []
-        for x, y, conf in f.data:
-            kps.append([
-                _pixel_value_for_exact_reload(float(x), seq.source_width),
-                _pixel_value_for_exact_reload(float(y), seq.source_height),
-                float(conf),
-            ])
-        frames.append({"keypoints": kps})
-    doc = {
-        "layout": seq.layout.name,
-        "width": seq.source_width,
-        "height": seq.source_height,
-        "frames": frames,
-    }
-    if seq.fps is not None:
-        doc["fps"] = seq.fps
-    return json.dumps(doc).encode("utf-8")
 
 
 def retarget_limb_lengths(template: PoseSequence, reference: PoseFrame,

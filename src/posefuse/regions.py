@@ -45,7 +45,7 @@ class LossWeightMap:
     def __post_init__(self):
         if self.data.shape != (self.height, self.width):
             raise ValueError("weight data must be (H, W)")
-        if self.data.min() < 1.0:
+        if not self.data.min() >= 1.0:  # NaN fails this test too
             raise ValueError("loss weights must be >= 1")
         self.data.setflags(write=False)
 
@@ -76,6 +76,8 @@ def hand_bbox(frame: PoseFrame, side: str, pad_frac: float, width: int,
         x1, y1 = x0 + DEGENERATE_BOX_PX, y0 + DEGENERATE_BOX_PX
     else:
         pad = max(float(MIN_PAD_PX), pad_frac * max(max_x - min_x, max_y - min_y))
+        if not math.isfinite(pad):
+            raise ValueError(f"hand box padding {pad} is not finite")
         x0 = math.floor(min_x - pad)
         y0 = math.floor(min_y - pad)
         x1 = math.ceil(max_x + pad)
@@ -102,8 +104,13 @@ def hand_regions(frame: PoseFrame, tau_hand: float = DEFAULT_TAU_HAND,
 def build_weight_map(frame: PoseFrame, tau_hand: float, pad_frac: float,
                      w_hand: float, width: int, height: int) -> LossWeightMap:
     """Per-pixel loss weights: w_hand inside reliable hand boxes, 1 elsewhere."""
-    if w_hand < 1.0:
-        raise ValueError("w_hand must be >= 1")
+    if not 1.0 <= w_hand < math.inf:
+        raise ValueError(f"w_hand must be a finite number >= 1, got {w_hand}")
+    if not 0.0 <= tau_hand <= 1.0:
+        raise ValueError(f"tau_hand must lie in [0, 1], got {tau_hand}")
+    if not 0.0 <= pad_frac < math.inf:
+        raise ValueError(f"pad_frac must be a finite number >= 0, got "
+                         f"{pad_frac}")
     if height * width > MAX_ELEMENTS:
         raise ValueError(f"weight map {width}x{height} exceeds {MAX_ELEMENTS} "
                          f"elements")

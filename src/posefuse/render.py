@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .pose import PoseFrame, PoseSequence
+from .pose import PoseFrame
 
 REFERENCE_HEIGHT = 768  # style radii are given in pixels at this canvas height
 CONFIDENCE_MODES = ("scaled", "threshold")
@@ -195,9 +195,3 @@ def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
                      np.concatenate([limb_values[dot], kp_values]))
     return GuidanceMap(width, height, canvas.reshape(height, width, 3),
                        _in_range=True)
-
-
-def render_sequence(seq: PoseSequence, style: RenderStyle, width: int,
-                    height: int) -> list[GuidanceMap]:
-    """render_frame applied per frame, order preserved."""
-    return [render_frame(f, style, width, height) for f in seq.frames]

@@ -92,12 +92,6 @@ class SkeletonLayout:
         if self.edge_colors.shape != (len(self.edges), 3):
             raise LayoutError("edge_colors must be (E, 3)")
 
-    def group_of(self, index: int) -> str:
-        for name, idxs in self.groups.items():
-            if index in idxs:
-                return name
-        raise LayoutError(f"keypoint {index} not in any group")
-
     def hand_indices(self, side: str) -> tuple[int, ...]:
         group = {"left": LEFT_HAND, "right": RIGHT_HAND}.get(side)
         if group is None:
@@ -208,7 +202,3 @@ def get_layout(name: str) -> SkeletonLayout:
         return _REGISTRY[name]
     except KeyError:
         raise LayoutError(f"unknown skeleton layout {name!r}") from None
-
-
-def register_layout(layout: SkeletonLayout) -> None:
-    _REGISTRY[layout.name] = layout

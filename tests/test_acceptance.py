@@ -23,9 +23,9 @@ from posefuse.diffusion import (AffineParams, SigmaDist, affine_batch_loss,
                                 linear_beta_schedule, loss_grad_linear,
                                 make_toy_denoiser, train_toy_denoiser)
 from posefuse.fusion import (boundary_jump_metric, frame_difference_profile,
-                             fusion_weights, make_phase_instance,
-                             plan_segments, progressive_fuse,
-                             run_long_denoise, uniform_fuse)
+                             fuse_segments, make_phase_instance,
+                             overlap_weights, plan_segments,
+                             run_long_denoise)
 from posefuse.pose import PoseFrame
 from posefuse.posenet import (LAYER_SPECS, init_posenet_weights,
                               posenet_forward, posenet_output_shape,
@@ -65,11 +65,12 @@ def test_c01_fusion_weight_algebra():
         t0 = time.perf_counter()
         for N in range(2, 65):
             for C in range(1, N):
-                fw = fusion_weights(C)
+                w_next = overlap_weights(C, C)
+                w_prev = 1.0 - w_next
                 expect = np.arange(1, C + 1) / float(C + 1)
-                assert np.array_equal(fw.w_next, expect)
-                assert np.all(fw.w_next + fw.w_prev == 1.0)
-                assert len(fw.w_next) == C
+                assert np.array_equal(w_next, expect)
+                assert np.all(w_next + w_prev == 1.0)
+                assert len(w_next) == C
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -142,8 +143,8 @@ def test_c04_single_overlap_coincidence():
             shape = (plan.frames_per_segment, int(rng.integers(1, 3)),
                      int(rng.integers(2, 5)), int(rng.integers(2, 5)))
             latents = [rng.normal(size=shape) for _ in range(len(plan))]
-            prog = progressive_fuse(latents, plan)
-            unif = uniform_fuse(latents, plan)
+            prog = fuse_segments(latents, plan, "progressive")
+            unif = fuse_segments(latents, plan, "uniform")
             for a, b in zip(prog, unif):
                 assert max_rel_diff(a, b) <= 1e-12
 

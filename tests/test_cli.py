@@ -5,7 +5,7 @@ import pytest
 
 from posefuse import cli
 from posefuse.cli import main
-from posefuse.io_formats import pgm_decode, ppm_decode, read_mmtl
+from posefuse.io_formats import mmtl_decode, pgm_decode, ppm_decode
 
 from conftest import person_keypoints, pose_doc
 
@@ -135,7 +135,7 @@ def test_weight_map_outputs(tmp_path, pose_file):
     rc = main(["weight-map", "--poses", str(pose_file), "--frame", "0",
                "--out", str(out)])
     assert rc == 0
-    wm = read_mmtl(out)
+    wm = mmtl_decode(out.read_bytes())
     assert wm.shape == (64, 64)
     assert set(np.unique(wm)) == {1.0, 10.0}
     preview = pgm_decode(out.with_suffix(".pgm").read_bytes())
@@ -148,7 +148,7 @@ def test_weight_map_unit_gain_all_ones(tmp_path, pose_file):
     rc = main(["weight-map", "--poses", str(pose_file), "--frame", "0",
                "--w-hand", "1.0", "--out", str(out)])
     assert rc == 0
-    assert (read_mmtl(out) == 1.0).all()
+    assert (mmtl_decode(out.read_bytes()) == 1.0).all()
 
 
 def test_weight_map_huge_source_canvas_returns_2(tmp_path, capsys):
@@ -172,6 +172,23 @@ def test_weight_map_frame_out_of_range(tmp_path, pose_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--pad-frac", "inf"), ("--pad-frac", "1e308"), ("--pad-frac", "nan"),
+    ("--pad-frac", "-1"),
+    ("--w-hand", "nan"), ("--w-hand", "inf"), ("--tau-hand", "nan"),
+    ("--tau-hand", "1.5"),
+])
+def test_weight_map_hostile_numbers_return_2(tmp_path, pose_file, capsys,
+                                             flag, value):
+    out = tmp_path / "wm.mmtl"
+    rc = main(["weight-map", "--poses", str(pose_file), "--frame", "0",
+               flag, value, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    assert not out.with_suffix(".pgm").exists()
+
+
 # ---- longvideo --------------------------------------------------------------
 
 def read_metrics(path):
@@ -187,7 +204,7 @@ def test_longvideo_outputs_and_determinism(tmp_path):
     assert main(["longvideo", "--config", str(cfg)]) == 0
     mode_dir = tmp_path / "out" / "progressive"
     first = (mode_dir / "latents.mmtl").read_bytes()
-    video = read_mmtl(mode_dir / "latents.mmtl")
+    video = mmtl_decode((mode_dir / "latents.mmtl").read_bytes())
     assert video.shape == (20, 2, 4, 4)
     assert (mode_dir / "plan.txt").read_text() == "20 8 3: 0,5,10,12\n"
     metrics = read_metrics(mode_dir / "metrics.txt")
@@ -228,7 +245,8 @@ def test_longvideo_analytic_gaussian_runs(tmp_path):
     cfg = write_config(tmp_path, denoiser="analytic_gaussian", mu=0.5,
                        sigma0=2.0)
     assert main(["longvideo", "--config", str(cfg)]) == 0
-    video = read_mmtl(tmp_path / "out" / "progressive" / "latents.mmtl")
+    video = mmtl_decode(
+        (tmp_path / "out" / "progressive" / "latents.mmtl").read_bytes())
     assert np.isfinite(video).all()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posefuse.config import (DENOISER_KINDS, ConfigError, RunConfig,
-                             config_from_dict, config_to_json,
-                             load_run_config)
+                             config_from_dict, load_run_config)
 from posefuse.fusion import plan_segments
 from posefuse.render import MAX_ELEMENTS
 
@@ -122,16 +122,18 @@ def test_json_roundtrip(tmp_path):
     cfg = config_from_dict({"total_frames": 30, "w_hand": 4.0,
                             "parallel": True, "out_dir": "artifacts"})
     path = tmp_path / "c.json"
-    path.write_text(config_to_json(cfg), encoding="utf-8")
+    path.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
     assert load_run_config(path) == cfg
 
 
 def test_json_dump_is_flat_and_sorted():
-    doc = json.loads(config_to_json(RunConfig()))
-    assert set(doc) == {f for f in doc}
+    doc = json.loads(json.dumps(dataclasses.asdict(RunConfig()),
+                                sort_keys=True))
+    assert set(doc) == {f.name for f in dataclasses.fields(RunConfig)}
     keys = list(doc)
     assert keys == sorted(keys)
     assert all(not isinstance(v, (dict, list)) for v in doc.values())
+    assert config_from_dict(doc) == RunConfig()
 
 
 @pytest.mark.parametrize("key", ["eta", "period_max", "w_hand", "threshold",

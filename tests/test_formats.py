@@ -11,9 +11,8 @@ from posefuse.io_formats import (FormatError, image_to_u8, load_posenet_weights,
                                  mmtl_decode, mmtl_decode_at, mmtl_encode,
                                  pgm_decode, pgm_encode, posenet_weights_bytes,
                                  posenet_weights_from_bytes, ppm_decode,
-                                 ppm_encode, read_mmtl, read_pgm, read_ppm,
-                                 save_posenet_weights, weight_map_preview,
-                                 write_mmtl, write_pgm, write_ppm)
+                                 ppm_encode, save_posenet_weights,
+                                 weight_map_preview)
 from posefuse.posenet import init_posenet_weights
 
 
@@ -72,8 +71,8 @@ def test_mmtl_concatenated_stream():
 def test_mmtl_file_roundtrip(tmp_path):
     arr = np.random.default_rng(2).normal(size=(3, 2, 2)).astype(np.float32)
     path = tmp_path / "t.mmtl"
-    write_mmtl(path, arr)
-    np.testing.assert_array_equal(read_mmtl(path), arr)
+    path.write_bytes(mmtl_encode(arr))
+    np.testing.assert_array_equal(mmtl_decode(path.read_bytes()), arr)
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,10 +164,12 @@ def test_raster_roundtrip():
 def test_raster_file_roundtrip(tmp_path):
     rgb = np.full((2, 2, 3), 9, dtype=np.uint8)
     gray = np.full((2, 2), 7, dtype=np.uint8)
-    write_ppm(tmp_path / "a.ppm", rgb)
-    write_pgm(tmp_path / "a.pgm", gray)
-    np.testing.assert_array_equal(read_ppm(tmp_path / "a.ppm"), rgb)
-    np.testing.assert_array_equal(read_pgm(tmp_path / "a.pgm"), gray)
+    (tmp_path / "a.ppm").write_bytes(ppm_encode(rgb))
+    (tmp_path / "a.pgm").write_bytes(pgm_encode(gray))
+    np.testing.assert_array_equal(
+        ppm_decode((tmp_path / "a.ppm").read_bytes()), rgb)
+    np.testing.assert_array_equal(
+        pgm_decode((tmp_path / "a.pgm").read_bytes()), gray)
 
 
 def test_pnm_decoder_accepts_comments_and_whitespace():

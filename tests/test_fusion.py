@@ -10,10 +10,8 @@ from posefuse.diffusion import Condition, make_toy_denoiser
 from posefuse.fusion import (FUSION_MODES, SegmentPlan, assemble,
                              boundary_jump_metric, boundary_transitions,
                              format_plan, frame_difference_profile,
-                             fuse_segments, fusion_lambda, fusion_weights,
-                             make_phase_instance, overlap_weights, parse_plan,
-                             plan_segments, progressive_fuse,
-                             run_long_denoise, uniform_fuse)
+                             fuse_segments, make_phase_instance,
+                             overlap_weights, plan_segments, run_long_denoise)
 from posefuse.seeding import stream_rng
 
 
@@ -76,37 +74,29 @@ def test_plan_text_roundtrip():
     plan = plan_segments(36, 16, 6)
     text = format_plan(plan)
     assert text == "36 16 6: 0,10,20"
-    assert parse_plan(text) == plan
-    with pytest.raises(ValueError):
-        parse_plan("36 16: 0,10")
-    with pytest.raises(ValueError):
-        parse_plan("36 16 6: 0,11,20")
 
 
 # ---- weights ----------------------------------------------------------
 
-def test_fusion_lambda_value():
-    assert fusion_lambda(6) == 1.0 / 7.0
-
-
 def test_fusion_weights_exact_algebra():
     for C in range(1, 64):
-        fw = fusion_weights(C)
+        w_next = overlap_weights(C, C)
+        w_prev = 1.0 - w_next
         for k in range(1, C + 1):
-            assert fw.w_next[k - 1] == k / (C + 1)
-            assert fw.w_next[k - 1] + fw.w_prev[k - 1] == 1.0
-        assert np.all(np.diff(fw.w_next) > 0)
-        assert fw.w_next[0] > 0 and fw.w_next[-1] < 1
+            assert w_next[k - 1] == k / (C + 1)
+            assert w_next[k - 1] + w_prev[k - 1] == 1.0
+        assert np.all(np.diff(w_next) > 0)
+        assert w_next[0] > 0 and w_next[-1] < 1
         # ramp endpoints: w_next(C) / w_next(1) = C
-        assert fw.w_next[-1] / fw.w_next[0] == pytest.approx(C, rel=1e-12)
+        assert w_next[-1] / w_next[0] == pytest.approx(C, rel=1e-12)
 
 
 def test_overlap_weights_enlarged_tail():
     w = overlap_weights(6, 12)
-    np.testing.assert_array_equal(w[:6], fusion_weights(6).w_next)
+    np.testing.assert_array_equal(w[:6], np.arange(1, 7) / 7)
     assert (w[6:] == 1.0).all()
-    # step sizes never exceed lambda
-    assert np.diff(w).max() <= fusion_lambda(6) + 1e-15
+    # step sizes never exceed lambda = 1 / (C + 1)
+    assert np.diff(w).max() <= 1 / 7 + 1e-15
 
 
 # ---- fusion -----------------------------------------------------------
@@ -114,7 +104,7 @@ def test_overlap_weights_enlarged_tail():
 def test_progressive_overlap_position_3_weights():
     plan = plan_segments(26, 16, 6)  # segments [0,16), [10,26)
     latents = [np.zeros((16, 1, 1, 1)), np.ones((16, 1, 1, 1))]
-    fused = progressive_fuse(latents, plan)
+    fused = fuse_segments(latents, plan, "progressive")
     # overlap frames 10..15; position k=3 is frame 12: 3/7*1 + 4/7*0
     for k in range(1, 7):
         frame = 9 + k
@@ -128,7 +118,7 @@ def test_progressive_identity_on_agreement():
     plan = plan_segments(36, 16, 6)
     base = np.random.default_rng(0).normal(size=(36, 2, 3, 3))
     latents = [base[s:e].copy() for s, e in plan.segments]
-    fused = progressive_fuse(latents, plan)
+    fused = fuse_segments(latents, plan, "progressive")
     for before, after in zip(latents, fused):
         np.testing.assert_allclose(after, before, rtol=1e-15, atol=1e-15)
 
@@ -137,7 +127,7 @@ def test_progressive_copies_equal_and_from_prefusion_values():
     plan = plan_segments(36, 16, 6)
     latents = seg_noise(plan)
     originals = [z.copy() for z in latents]
-    fused = progressive_fuse(latents, plan)
+    fused = fuse_segments(latents, plan, "progressive")
     for i in range(len(plan) - 1):
         s_prev, _ = plan.segment(i)
         s_next, _ = plan.segment(i + 1)
@@ -157,7 +147,7 @@ def test_progressive_copies_equal_and_from_prefusion_values():
 def test_uniform_two_copy_mean():
     plan = plan_segments(26, 16, 6)
     latents = [np.zeros((16, 1, 1, 1)), np.full((16, 1, 1, 1), 2.0)]
-    fused = uniform_fuse(latents, plan)
+    fused = fuse_segments(latents, plan, "uniform")
     for f in range(10, 16):
         assert fused[0][f, 0, 0, 0] == 1.0
         assert fused[1][f - 10, 0, 0, 0] == 1.0
@@ -168,7 +158,7 @@ def test_uniform_identity_on_agreement():
     plan = plan_segments(36, 16, 6)
     base = np.random.default_rng(1).normal(size=(36, 2, 3, 3))
     latents = [base[s:e].copy() for s, e in plan.segments]
-    fused = uniform_fuse(latents, plan)
+    fused = fuse_segments(latents, plan, "uniform")
     for before, after in zip(latents, fused):
         np.testing.assert_array_equal(before, after)
 
@@ -178,8 +168,8 @@ def test_uniform_identity_on_agreement():
 def test_c1_progressive_equals_uniform(seed):
     plan = plan_segments(10, 4, 1)
     latents = seg_noise(plan, shape=(1, 2, 2), seed=seed)
-    prog = progressive_fuse(latents, plan)
-    unif = uniform_fuse(latents, plan)
+    prog = fuse_segments(latents, plan, "progressive")
+    unif = fuse_segments(latents, plan, "uniform")
     for a, b in zip(prog, unif):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
@@ -193,10 +183,10 @@ def test_fuse_segments_dispatch_and_validation():
     with pytest.raises(ValueError):
         fuse_segments(latents, plan, "blend")
     with pytest.raises(ValueError):
-        progressive_fuse(latents[:1], plan)
+        fuse_segments(latents[:1], plan, "progressive")
     bad = [latents[0], latents[1][:, :, :2, :]]
     with pytest.raises(ValueError):
-        progressive_fuse(bad, plan)
+        fuse_segments(bad, plan, "progressive")
     assert set(FUSION_MODES) == {"progressive", "uniform", "none"}
 
 
@@ -206,14 +196,14 @@ def test_triple_overlap_consistency():
     plan = plan_segments(37, 16, 6)
     assert plan.starts == (0, 10, 20, 21)
     latents = seg_noise(plan)
-    fused = progressive_fuse(latents, plan)
+    fused = fuse_segments(latents, plan, "progressive")
     for f in range(plan.total_frames):
         copies = [fused[i][f - s] for i, (s, e) in enumerate(plan.segments)
                   if s <= f < e]
         for c in copies[1:]:
             np.testing.assert_array_equal(copies[0], c)
     # the later pair (2, 3) decides progressive; uniform sums left to right
-    unif = uniform_fuse(latents, plan)
+    unif = fuse_segments(latents, plan, "uniform")
     w = overlap_weights(6, 36 - 21)
     for f in range(21, 26):
         a, b, c = latents[1][f - 10], latents[2][f - 20], latents[3][f - 21]
@@ -292,7 +282,7 @@ def test_assemble_single_segment_identity():
 
 def test_assemble_after_fusion_choice_irrelevant():
     plan = plan_segments(36, 16, 6)
-    fused = progressive_fuse(seg_noise(plan), plan)
+    fused = fuse_segments(seg_noise(plan), plan, "progressive")
     video = assemble(fused, plan)
     # overlapped frames equal their copy in either segment
     for i, (s, e) in enumerate(plan.segments):

@@ -102,6 +102,18 @@ def test_weight_map_rejects_attenuating_weight(person_frame):
         build_weight_map(person_frame, 0.6, 0.25, 0.5, 576, 1024)
 
 
+@pytest.mark.parametrize("tau_hand, pad_frac, w_hand", [
+    (0.6, 0.25, float("nan")), (0.6, 0.25, float("inf")),
+    (float("nan"), 0.25, 10.0), (-0.1, 0.25, 10.0), (1.1, 0.25, 10.0),
+    (0.6, float("inf"), 10.0), (0.6, float("nan"), 10.0), (0.6, -1.0, 10.0),
+    (0.6, 1e308, 10.0),  # finite, but the padding overflows to inf
+])
+def test_weight_map_rejects_bad_settings(person_frame, tau_hand,
+                                         pad_frac, w_hand):
+    with pytest.raises(ValueError):
+        build_weight_map(person_frame, tau_hand, pad_frac, w_hand, 576, 1024)
+
+
 def test_weight_map_matches_boxes(person_frame):
     wm = build_weight_map(person_frame, 0.6, 0.25, 10.0, 576, 1024)
     expect = np.ones((1024, 576))
@@ -140,6 +152,11 @@ def test_amplified_area_shrinks_with_tau():
 def test_loss_weight_map_invariant():
     with pytest.raises(ValueError):
         LossWeightMap(4, 4, np.full((4, 4), 0.5))
+    for bad in (np.nan, -np.inf):
+        data = np.ones((4, 4))
+        data[1, 2] = bad
+        with pytest.raises(ValueError):
+            LossWeightMap(4, 4, data)
     with pytest.raises(ValueError):
         LossWeightMap(4, 4, np.ones((3, 4)))
 

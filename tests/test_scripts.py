@@ -1,0 +1,50 @@
+"""Smoke tests: each script's main() runs on tiny arguments and prints its
+summary line."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+from posefuse.pose import parse_pose_sequence
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_demo_poses(tmp_path, capsys):
+    out = tmp_path / "demo.json"
+    rc = load_script("make_demo_poses").main(
+        ["--frames", "3", "--width", "48", "--height", "64",
+         "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"wrote 3 frames (48x64) to {out}\n"
+    seq = parse_pose_sequence(out.read_bytes())
+    assert len(seq) == 3
+    assert (seq.source_width, seq.source_height) == (48, 64)
+
+
+def test_run_fusion_ablation(capsys):
+    rc = load_script("run_fusion_ablation").main(
+        ["--total-frames", "18", "--segment-length", "8",
+         "--context-overlap", "3", "--steps", "5", "--seeds", "1",
+         "--size", "4"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "plan: 3 segments of 8 frames, starts [0, 5, 10]" in out
+    assert re.search(r"^progressive < none on [01]/1 seeds; "
+                     r"progressive <= uniform on [01]/1$", out, re.M)
+
+
+def test_train_hand_weighted(capsys):
+    rc = load_script("train_hand_weighted").main(["--steps", "10"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "uniform" in out and "hand x10" in out
+    assert re.search(r"^hand-region MSE improvement from weighting: "
+                     r"-?\d+\.\d{5}$", out, re.M)

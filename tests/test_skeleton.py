@@ -3,7 +3,7 @@ import pytest
 
 from posefuse.skeleton import (BODY, FACE, FEET, LEFT_HAND, RIGHT_HAND,
                                WHOLEBODY_133, LayoutError, SkeletonLayout,
-                               get_layout, register_layout)
+                               get_layout)
 
 
 def test_group_sizes():
@@ -78,33 +78,10 @@ def test_finger_colors_distinct_per_finger():
         assert len(set(finger_cols)) == 5
 
 
-def test_group_of():
-    assert WHOLEBODY_133.group_of(0) == BODY
-    assert WHOLEBODY_133.group_of(20) == FEET
-    assert WHOLEBODY_133.group_of(50) == FACE
-    assert WHOLEBODY_133.group_of(100) == LEFT_HAND
-    assert WHOLEBODY_133.group_of(132) == RIGHT_HAND
-
-
 def test_registry_roundtrip():
     assert get_layout("coco_wholebody_133") is WHOLEBODY_133
     with pytest.raises(LayoutError):
         get_layout("nope")
-
-
-def test_register_custom_layout():
-    tiny = SkeletonLayout(
-        name="tiny3",
-        keypoint_count=3,
-        edges=((0, 1, "all"), (1, 2, "all")),
-        groups={"all": (0, 1, 2)},
-        keypoint_colors=np.ones((3, 3)),
-        edge_colors=np.ones((2, 3)),
-        root_index=0,
-        bone_tree=(-1, 0, 1),
-    )
-    register_layout(tiny)
-    assert get_layout("tiny3") is tiny
 
 
 def test_layout_validation_rejects_bad_tree():
