@@ -37,24 +37,28 @@ def _cmd_render_pose(args: argparse.Namespace) -> int:
     seq = _read_poses(args.poses)
     style = RenderStyle(confidence_mode=args.mode, threshold=args.tau)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(seq.frames):
         gm = render_frame(frame, style, args.width, args.height)
+        if i == 0:  # a canvas render_frame rejects leaves no directory
+            out.mkdir(parents=True, exist_ok=True)
         (out / f"frame_{i:05d}.ppm").write_bytes(ppm_encode(image_to_u8(gm.data)))
     return 0
 
 
 def _cmd_weight_map(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    preview = out.with_suffix(".pgm")
+    if preview == out:
+        raise ValueError(f"--out {out} would be overwritten by its .pgm "
+                         f"preview; use another suffix such as .mmtl")
     seq = _read_poses(args.poses)
     if not 0 <= args.frame < len(seq):
         raise ValueError(f"frame index {args.frame} out of range "
                          f"[0, {len(seq)})")
     wm = build_weight_map(seq.frames[args.frame], args.tau_hand, args.pad_frac,
                           args.w_hand, seq.source_width, seq.source_height)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(mmtl_encode(wm.data))
-    preview = out.with_suffix(".pgm")
     preview.write_bytes(pgm_encode(weight_map_preview(wm.data)))
     return 0
 
@@ -78,7 +82,7 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     # the denoiser (and any target it caches) is freed once the loop ends
     video = run_long_denoise(_build_denoiser(cfg, plan, latent_shape), None,
                              plan, cfg.steps, mode, cfg.seed,
-                             latent_shape=latent_shape, parallel=cfg.parallel)
+                             latent_shape=latent_shape)
     profile = frame_difference_profile(video)
     jump = boundary_jump_metric(profile, plan)
 

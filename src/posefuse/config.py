@@ -31,7 +31,6 @@ class RunConfig:
     steps: int = 25
     mode: str = "progressive"
     seed: int = 0
-    parallel: bool = False
     # per-frame latent dims
     latent_channels: int = 4
     latent_height: int = 8
@@ -72,9 +71,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     clean = {}
     for key, value in doc.items():
         have = getattr(defaults, key)
-        if isinstance(have, bool):
-            ok = isinstance(value, bool)
-        elif isinstance(have, int):
+        if isinstance(have, int):
             ok = isinstance(value, int) and not isinstance(value, bool)
         elif isinstance(have, float):
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -193,24 +193,14 @@ def train_toy_denoiser(samples: Sequence[Sample], w: LossWeightMap | np.ndarray,
 class Condition:
     """Conditioning bundle handed to a denoiser.
 
-    ref_latent is the encoded reference image stand-in (1, C, H, W);
     pose_features carry per-frame guidance features. frame_offset and
     segment_index identify which slice of a long video a segment covers,
     so per-segment denoiser calls know their position.
     """
 
-    ref_latent: np.ndarray | None = None
     pose_features: np.ndarray | None = None
     frame_offset: int = 0
     segment_index: int = 0
-
-    def __post_init__(self):
-        if self.ref_latent is not None:
-            if self.ref_latent.ndim != 4 or self.ref_latent.shape[0] != 1:
-                raise ValueError("ref_latent must have shape (1, C, H, W)")
-        if self.pose_features is not None and self.ref_latent is not None:
-            if self.pose_features.shape[-2:] != self.ref_latent.shape[-2:]:
-                raise ValueError("pose_features spatial dims must match ref_latent")
 
 
 Denoiser = Callable[[np.ndarray, Condition, int], np.ndarray]

@@ -14,8 +14,6 @@ kept alongside as ablation baselines.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -244,34 +242,25 @@ StepCallback = Callable[[int, list[np.ndarray]], None]
 def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
                      plan: SegmentPlan, steps: int,
                      mode: str = "progressive", seed: int = 0, *,
-                     latent_shape: tuple[int, int, int] | None = None,
-                     parallel: bool = False,
+                     latent_shape: tuple[int, int, int],
                      on_step: StepCallback | None = None) -> np.ndarray:
     """Denoise-then-fuse over all segments; returns the assembled video.
 
-    Segment i starts from Gaussian noise drawn on its own seed stream,
-    so results do not depend on scheduling. All segments live in one
-    (S, N, C, H, W) stack; each step calls the denoiser once per
-    segment, writes its output into that segment's slot, and then fuses
-    overlaps per mode in place using an overlap table built once per
-    call. With ``parallel`` the calls run on one thread pool (at most
-    one worker per core) kept for the whole run; each call writes only
-    its own slot, so the result is bit identical to the serial path.
+    Segment i starts from Gaussian noise drawn on its own seed stream.
+    All segments live in one (S, N, C, H, W) stack of per-frame
+    ``latent_shape``; each step calls the denoiser once per segment,
+    writes its output into that segment's slot, and then fuses overlaps
+    per mode in place using an overlap table built once per call.
     ``on_step(t, latents)`` gets one array per segment after fusion;
     they are views of the stack that later steps overwrite, so a
     callback copies whatever it keeps. Steps count down from `steps` to
-    1; the per-frame latent shape comes from cond.ref_latent unless
-    given explicitly.
+    1.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
     base = cond if cond is not None else Condition()
-    if latent_shape is None:
-        if base.ref_latent is None:
-            raise ValueError("need latent_shape or cond.ref_latent")
-        latent_shape = base.ref_latent.shape[1:]
     shape = (plan.frames_per_segment,) + tuple(latent_shape)
 
     conds = []
@@ -285,27 +274,19 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
         stream_rng(seed, i, 0).standard_normal(shape, out=stack[i])
     table = _overlap_table(plan)
 
+    # a function, so each denoiser output is freed before the next call
     def advance(i: int, t: int) -> None:
         z = denoiser(stack[i], conds[i], t)
         if z.shape != shape:
             raise ValueError(f"denoiser changed shape {shape} -> {z.shape}")
         stack[i] = z
 
-    pool = (ThreadPoolExecutor(max_workers=min(len(plan), os.cpu_count() or 1))
-            if parallel else None)
-    try:
-        for t in range(steps, 0, -1):
-            if pool is None:
-                for i in range(len(plan)):
-                    advance(i, t)
-            else:
-                list(pool.map(advance, range(len(plan)), [t] * len(plan)))
-            _fuse_stack(stack, table, mode)
-            if on_step is not None:
-                on_step(t, list(stack))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for t in range(steps, 0, -1):
+        for i in range(len(plan)):
+            advance(i, t)
+        _fuse_stack(stack, table, mode)
+        if on_step is not None:
+            on_step(t, list(stack))
     return assemble(stack, plan)
 
 

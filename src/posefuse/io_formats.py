@@ -115,45 +115,6 @@ def pgm_encode(gray_u8: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + a.tobytes()
 
 
-def _parse_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    if data[:2] != magic:
-        raise FormatError(f"expected {magic.decode()} file")
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        try:
-            fields.append(int(data[start:pos]))
-        except ValueError as exc:
-            raise FormatError("malformed raster header") from exc
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise FormatError(f"only maxval 255 supported, got {maxval}")
-    need = w * h * channels
-    if len(data) - pos < need:
-        raise FormatError("raster payload truncated")
-    arr = np.frombuffer(data[pos:pos + need], dtype=np.uint8)
-    shape = (h, w, channels) if channels > 1 else (h, w)
-    return arr.reshape(shape).copy()
-
-
-def ppm_decode(data: bytes) -> np.ndarray:
-    return _parse_pnm(data, b"P6", 3)
-
-
-def pgm_decode(data: bytes) -> np.ndarray:
-    return _parse_pnm(data, b"P5", 1)
-
-
 def weight_map_preview(weights: np.ndarray) -> np.ndarray:
     """Visualize a loss weight map: 255 where amplified, 25 elsewhere."""
     w = np.asarray(weights)

@@ -2,7 +2,7 @@
 
 Every stochastic site derives its generator from a base seed plus a
 small integer key path, so runs reproduce bit-for-bit regardless of
-execution order (serial or thread pool). numpy's SeedSequence does the
+the order in which the streams are drawn. numpy's SeedSequence does the
 mixing; the key path is simply spawned into it.
 """
 

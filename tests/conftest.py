@@ -97,6 +97,16 @@ def person_seq() -> PoseSequence:
     return person_sequence()
 
 
+def read_raster(data: bytes, height: int, width: int,
+                channels: int = 3) -> np.ndarray:
+    """Pixels of a canonical binary PPM (3 channels) or PGM (1) raster."""
+    header = f"P{6 if channels == 3 else 5}\n{width} {height}\n255\n".encode()
+    assert data[:len(header)] == header
+    assert len(data) == len(header) + height * width * channels
+    shape = (height, width, channels) if channels == 3 else (height, width)
+    return np.frombuffer(data, np.uint8, offset=len(header)).reshape(shape)
+
+
 # ---- numeric oracles -------------------------------------------------
 
 def affine_wls_optimum(samples, w: np.ndarray) -> AffineParams:

@@ -5,9 +5,9 @@ import pytest
 
 from posefuse import cli
 from posefuse.cli import main
-from posefuse.io_formats import mmtl_decode, pgm_decode, ppm_decode
+from posefuse.io_formats import mmtl_decode
 
-from conftest import person_keypoints, pose_doc
+from conftest import person_keypoints, pose_doc, read_raster
 
 
 @pytest.fixture
@@ -41,8 +41,7 @@ def test_render_pose_writes_frames(tmp_path, pose_file):
     assert rc == 0
     files = sorted(out.iterdir())
     assert [p.name for p in files] == [f"frame_{i:05d}.ppm" for i in range(3)]
-    img = ppm_decode(files[0].read_bytes())
-    assert img.shape == (48, 48, 3)
+    img = read_raster(files[0].read_bytes(), 48, 48)
     assert img.max() > 0
 
 
@@ -67,7 +66,8 @@ def test_render_pose_threshold_mode_dispatch(tmp_path):
                    "--width", "48", "--height", "48", "--mode", mode,
                    "--tau", "0.3"])
         assert rc == 0
-        images[mode] = ppm_decode((out / "frame_00000.ppm").read_bytes())
+        images[mode] = read_raster((out / "frame_00000.ppm").read_bytes(),
+                                   48, 48)
     # threshold keeps full color at conf 0.5 >= tau; scaled halves it
     assert images["threshold"].max() > images["scaled"].max()
 
@@ -115,7 +115,7 @@ def test_render_pose_huge_canvas_returns_2(tmp_path, pose_file, capsys):
                "--width", "100000000", "--height", "100000000"])
     assert rc == 2
     assert "exceeds" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_memory_error_returns_2(tmp_path, pose_file, capsys, monkeypatch):
@@ -138,7 +138,7 @@ def test_weight_map_outputs(tmp_path, pose_file):
     wm = mmtl_decode(out.read_bytes())
     assert wm.shape == (64, 64)
     assert set(np.unique(wm)) == {1.0, 10.0}
-    preview = pgm_decode(out.with_suffix(".pgm").read_bytes())
+    preview = read_raster(out.with_suffix(".pgm").read_bytes(), 64, 64, 1)
     assert set(np.unique(preview)) == {25, 255}
     np.testing.assert_array_equal(preview == 255, wm > 1.0)
 
@@ -161,6 +161,16 @@ def test_weight_map_huge_source_canvas_returns_2(tmp_path, capsys):
     assert rc == 2
     assert "exceeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_weight_map_out_that_preview_would_overwrite_returns_2(
+        tmp_path, pose_file, capsys):
+    out = tmp_path / "maps" / "wm.pgm"
+    rc = main(["weight-map", "--poses", str(pose_file), "--frame", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert "preview" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_weight_map_frame_out_of_range(tmp_path, pose_file, capsys):
@@ -228,17 +238,6 @@ def test_longvideo_mode_override_and_ordering(tmp_path):
         jumps[mode] = metrics["boundary_jump"]
     assert jumps["progressive"] < jumps["none"]
     assert jumps["progressive"] <= jumps["uniform"]
-
-
-def test_longvideo_parallel_matches_serial(tmp_path):
-    blobs = {}
-    for flag in (False, True):
-        sub = tmp_path / ("p" if flag else "s")
-        sub.mkdir()
-        cfg = write_config(sub, parallel=flag)
-        assert main(["longvideo", "--config", str(cfg)]) == 0
-        blobs[flag] = (sub / "out" / "progressive" / "latents.mmtl").read_bytes()
-    assert blobs[False] == blobs[True]
 
 
 def test_longvideo_analytic_gaussian_runs(tmp_path):

@@ -399,16 +399,3 @@ def test_analytic_gaussian_high_noise_returns_prior_mean():
 def test_analytic_gaussian_needs_schedule():
     with pytest.raises(ValueError):
         make_toy_denoiser("analytic_gaussian", mu=0.0, sigma0=1.0)
-
-
-# ---- condition -------------------------------------------------------
-
-def test_condition_validation():
-    Condition(ref_latent=np.zeros((1, 4, 8, 8)))
-    with pytest.raises(ValueError):
-        Condition(ref_latent=np.zeros((2, 4, 8, 8)))
-    with pytest.raises(ValueError):
-        Condition(ref_latent=np.zeros((1, 4, 8, 8)),
-                  pose_features=np.zeros((16, 320, 9, 9)))
-    Condition(ref_latent=np.zeros((1, 4, 8, 8)),
-              pose_features=np.zeros((16, 320, 8, 8)))

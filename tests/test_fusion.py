@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posefuse import fusion
 from posefuse.diffusion import Condition, make_toy_denoiser
 from posefuse.fusion import (FUSION_MODES, SegmentPlan, assemble,
                              boundary_jump_metric, boundary_transitions,
@@ -334,38 +333,6 @@ def test_run_long_denoise_deterministic():
     assert a.tobytes() == b.tobytes()
 
 
-def test_run_long_denoise_parallel_bitwise_identical():
-    plan = plan_segments(36, 16, 6)
-    shape = (4, 8, 8)
-    for mode in FUSION_MODES:
-        den = make_phase_instance(plan, shape, seed=1)
-        serial = run_long_denoise(den, None, plan, 25, mode, seed=1,
-                                  latent_shape=shape, parallel=False)
-        threaded = run_long_denoise(den, None, plan, 25, mode, seed=1,
-                                    latent_shape=shape, parallel=True)
-        assert serial.tobytes() == threaded.tobytes()
-
-
-def test_run_long_denoise_parallel_builds_one_pool(monkeypatch):
-    pools = []
-
-    class CountingPool(fusion.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(fusion, "ThreadPoolExecutor", CountingPool)
-    plan = plan_segments(36, 16, 6)
-    den = make_phase_instance(plan, (2, 4, 4), seed=1)
-    run_long_denoise(den, None, plan, 25, "progressive", seed=1,
-                     latent_shape=(2, 4, 4), parallel=True)
-    assert len(pools) == 1
-    assert 1 <= pools[0] <= len(plan)
-    run_long_denoise(den, None, plan, 25, "progressive", seed=1,
-                     latent_shape=(2, 4, 4))
-    assert len(pools) == 1
-
-
 def test_run_long_denoise_slices_pose_features():
     plan = plan_segments(36, 16, 6)
     offsets = []
@@ -380,15 +347,6 @@ def test_run_long_denoise_slices_pose_features():
     run_long_denoise(spy, cond, plan, 1, "none", seed=0,
                      latent_shape=(1, 2, 2))
     assert offsets == [(0, 0, 16), (1, 10, 16), (2, 20, 16)]
-
-
-def test_run_long_denoise_latent_shape_from_ref():
-    plan = plan_segments(16, 16, 6)
-    cond = Condition(ref_latent=np.zeros((1, 2, 4, 4)))
-    video = run_long_denoise(lambda z, c, t: z, cond, plan, 1, "none", seed=0)
-    assert video.shape == (16, 2, 4, 4)
-    with pytest.raises(ValueError):
-        run_long_denoise(lambda z, c, t: z, None, plan, 1, "none", seed=0)
 
 
 def test_run_long_denoise_rejects_shape_changing_denoiser():
