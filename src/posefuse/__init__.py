@@ -18,11 +18,10 @@ from .fusion import (FUSION_MODES, SegmentPlan, assemble,
                      plan_segments, run_long_denoise)
 from .pose import (PoseFrame, PoseParseError, PoseSequence,
                    parse_pose_sequence, retarget_limb_lengths)
-from .regions import (HandRegion, LossWeightMap, build_weight_map,
-                      downsample_weight_map, hand_bbox, hand_regions,
-                      hand_reliability)
+from .regions import (LossWeightMap, build_weight_map, downsample_weight_map,
+                      hand_bbox, hand_reliability)
 from .render import GuidanceMap, RenderStyle, render_frame
-from .seeding import stream_rng, stream_seed
+from .seeding import stream_rng
 from .skeleton import WHOLEBODY_133, LayoutError, SkeletonLayout, get_layout
 
 __version__ = "0.1.0"

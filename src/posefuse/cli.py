@@ -110,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--mode", choices=CONFIDENCE_MODES, default="scaled")
-    p.add_argument("--tau", type=float, default=0.3,
+    p.add_argument("--mode", choices=CONFIDENCE_MODES,
+                   default=RenderStyle.confidence_mode)
+    p.add_argument("--tau", type=float, default=RenderStyle.threshold,
                    help="confidence cutoff for threshold mode")
     p.set_defaults(func=_cmd_render_pose)
 

@@ -1,7 +1,7 @@
 """Run configuration: a flat JSON document whose keys mirror RunConfig
 field names exactly. Loading re-validates every constraint owned by the
-modules the fields feed (planner, style, weights, denoisers), so a bad
-config fails at load time rather than mid-run.
+modules the fields feed (segment planner, latent stack, denoisers), so a
+bad config fails at load time rather than mid-run.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .fusion import FUSION_MODES
 from .pose import _finite_number
-from .render import CONFIDENCE_MODES, MAX_ELEMENTS
+from .render import MAX_ELEMENTS
 
 DENOISER_KINDS = ("phase_smoother", "analytic_gaussian")
 
@@ -43,17 +43,6 @@ class RunConfig:
     period_max: float = 48.0
     mu: float = 0.0
     sigma0: float = 1.0
-    # canvas and guidance rendering
-    width: int = 1024
-    height: int = 576
-    keypoint_radius: float = 4.0
-    limb_thickness: float = 4.0
-    confidence_mode: str = "scaled"
-    threshold: float = 0.3
-    # hand-region weighting
-    tau_hand: float = 0.6
-    pad_frac: float = 0.25
-    w_hand: float = 10.0
     # artifact output
     out_dir: str = "out"
 
@@ -96,7 +85,8 @@ def _validate(cfg: RunConfig) -> None:
         if not ok:
             raise ConfigError(msg)
 
-    need(cfg.total_frames >= 1, "total_frames must be >= 1")
+    # the seam metrics need a frame-to-frame difference
+    need(cfg.total_frames >= 2, "total_frames must be >= 2")
     need(0 < cfg.context_overlap < cfg.segment_length,
          "overlap must be smaller than segment length")
     need(cfg.steps >= 1, "steps must be >= 1")
@@ -118,17 +108,6 @@ def _validate(cfg: RunConfig) -> None:
     need(0 < cfg.period_min < cfg.period_max,
          "need 0 < period_min < period_max")
     need(cfg.sigma0 > 0, "sigma0 must be > 0")
-    need(cfg.width >= 8 and cfg.height >= 8, "canvas must be at least 8x8")
-    need(cfg.width * cfg.height * 3 <= MAX_ELEMENTS,
-         f"canvas exceeds {MAX_ELEMENTS} elements")
-    need(cfg.keypoint_radius > 0, "keypoint_radius must be > 0")
-    need(cfg.limb_thickness > 0, "limb_thickness must be > 0")
-    need(cfg.confidence_mode in CONFIDENCE_MODES,
-         f"confidence_mode must be one of {CONFIDENCE_MODES}")
-    need(0 <= cfg.threshold <= 1, "threshold must lie in [0, 1]")
-    need(0 <= cfg.tau_hand <= 1, "tau_hand must lie in [0, 1]")
-    need(cfg.pad_frac >= 0, "pad_frac must be >= 0")
-    need(cfg.w_hand >= 1, "w_hand must be >= 1")
 
 
 def load_run_config(path: str | Path) -> RunConfig:

@@ -18,6 +18,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -137,9 +138,16 @@ def parse_pose_sequence(data: bytes | str) -> PoseSequence:
     frames = []
     for fi, rf in enumerate(raw_frames):
         try:
-            kps = np.array(rf["keypoints"], dtype=np.float64)
+            rows = rf["keypoints"]
+            # numpy would cast "1" and true to 1.0; type(True) is not int
+            numbers = set(map(type, chain.from_iterable(rows))) <= {int, float}
+            kps = np.array(rows, dtype=np.float64) if numbers else None
         except (TypeError, KeyError, ValueError):
             raise PoseParseError(f"frame {fi}: keypoints must be [x, y, conf] triples") from None
+        except OverflowError:  # an integer beyond float range
+            kps = None
+        if kps is None:
+            raise PoseParseError(f"frame {fi}: keypoints must be numbers")
         if kps.ndim != 2 or kps.shape[1] != 3:
             raise PoseParseError(f"frame {fi}: keypoints must be [x, y, conf] triples")
         if kps.shape[0] != layout.keypoint_count:

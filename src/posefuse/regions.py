@@ -17,23 +17,9 @@ import numpy as np
 from .pose import PoseFrame
 from .render import MAX_ELEMENTS
 
-DEFAULT_TAU_HAND = 0.6
-DEFAULT_PAD_FRAC = 0.25
 MIN_PAD_PX = 4
 DEGENERATE_BOX_PX = 8
 LATENT_DOWNSAMPLE = 8
-
-
-@dataclass(frozen=True)
-class HandRegion:
-    side: str
-    reliable: bool
-    bbox: tuple[int, int, int, int]  # (x0, y0, x1, y1), half-open
-
-    @property
-    def empty(self) -> bool:
-        x0, y0, x1, y1 = self.bbox
-        return x1 <= x0 or y1 <= y0
 
 
 @dataclass(frozen=True)
@@ -88,19 +74,6 @@ def hand_bbox(frame: PoseFrame, side: str, pad_frac: float, width: int,
     return (x0, y0, max(x0, x1), max(y0, y1))
 
 
-def hand_regions(frame: PoseFrame, tau_hand: float = DEFAULT_TAU_HAND,
-                 pad_frac: float = DEFAULT_PAD_FRAC, width: int = 576,
-                 height: int = 1024) -> tuple[HandRegion, HandRegion]:
-    regions = []
-    for side in ("left", "right"):
-        if hand_reliability(frame, side, tau_hand):
-            box = hand_bbox(frame, side, pad_frac, width, height)
-            regions.append(HandRegion(side, True, box))
-        else:
-            regions.append(HandRegion(side, False, (0, 0, 0, 0)))
-    return tuple(regions)
-
-
 def build_weight_map(frame: PoseFrame, tau_hand: float, pad_frac: float,
                      w_hand: float, width: int, height: int) -> LossWeightMap:
     """Per-pixel loss weights: w_hand inside reliable hand boxes, 1 elsewhere."""
@@ -115,9 +88,10 @@ def build_weight_map(frame: PoseFrame, tau_hand: float, pad_frac: float,
         raise ValueError(f"weight map {width}x{height} exceeds {MAX_ELEMENTS} "
                          f"elements")
     data = np.ones((height, width))
-    for region in hand_regions(frame, tau_hand, pad_frac, width, height):
-        if region.reliable and not region.empty:
-            x0, y0, x1, y1 = region.bbox
+    for side in ("left", "right"):
+        if hand_reliability(frame, side, tau_hand):
+            # half-open box with x1 >= x0 and y1 >= y0: empty is a no-op
+            x0, y0, x1, y1 = hand_bbox(frame, side, pad_frac, width, height)
             data[y0:y1, x0:x1] = w_hand
     return LossWeightMap(width, height, data)
 

@@ -11,12 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def stream_seed(seed: int, *key: int) -> np.random.SeedSequence:
-    if seed < 0 or any(k < 0 for k in key):
-        raise ValueError("seed and key parts must be nonnegative")
-    return np.random.SeedSequence([seed, *key])
-
-
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by (seed, *key)."""
-    return np.random.default_rng(stream_seed(seed, *key))
+    if seed < 0 or any(k < 0 for k in key):
+        raise ValueError("seed and key parts must be nonnegative")
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))

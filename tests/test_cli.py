@@ -109,6 +109,18 @@ def test_render_pose_mistyped_field_returns_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_render_pose_400_digit_keypoint_returns_2(tmp_path, capsys):
+    doc = json.loads(pose_doc([person_keypoints()]).decode())
+    doc["frames"][0]["keypoints"][3][0] = int("1" * 400)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["render-pose", "--poses", str(bad), "--out",
+               str(tmp_path / "o"), "--width", "8", "--height", "8"])
+    assert rc == 2
+    assert "keypoints must be numbers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_render_pose_huge_canvas_returns_2(tmp_path, pose_file, capsys):
     out = tmp_path / "frames"
     rc = main(["render-pose", "--poses", str(pose_file), "--out", str(out),
@@ -269,10 +281,10 @@ def test_longvideo_invalid_json_config(tmp_path, capsys):
     "[" * 100_000 + "]" * 100_000,
     '{"eta": ' + "1" * 400 + "}",
     '{"period_max": 1e999}',
-    '{"w_hand": 1e999}',
+    '{"sigma0": 1e999}',
     '{"eta": [1]}',
     '{"latent_height": 1000000000000000}',
-], ids=["deep-nesting", "400-digit-eta", "inf-period_max", "inf-w_hand",
+], ids=["deep-nesting", "400-digit-eta", "inf-period_max", "inf-sigma0",
         "list-eta", "huge-latent_height"])
 def test_longvideo_hostile_config_returns_2(tmp_path, capsys, text):
     cfg = tmp_path / "hostile.json"

@@ -3,9 +3,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from posefuse.cli import main
 from posefuse.config import (DENOISER_KINDS, ConfigError, RunConfig,
                              config_from_dict, load_run_config)
 from posefuse.fusion import plan_segments
@@ -51,6 +52,12 @@ def test_unknown_keys_rejected():
         config_from_dict({"fames": 36})
     with pytest.raises(ConfigError, match="unknown config keys: parallel"):
         config_from_dict({"parallel": False})
+    # render and hand settings belong to render-pose and weight-map
+    for key in ("width", "height", "keypoint_radius", "limb_thickness",
+                "confidence_mode", "threshold", "tau_hand", "pad_frac",
+                "w_hand"):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            config_from_dict({key: 1})
     with pytest.raises(ConfigError, match="a, b"):
         config_from_dict({"b": 1, "a": 2})
 
@@ -73,9 +80,9 @@ def test_type_strictness():
 
 
 def test_int_promoted_for_float_fields():
-    cfg = config_from_dict({"w_hand": 5})
-    assert isinstance(cfg.w_hand, float)
-    assert cfg.w_hand == 5.0
+    cfg = config_from_dict({"period_min": 5})
+    assert isinstance(cfg.period_min, float)
+    assert cfg.period_min == 5.0
 
 
 @pytest.mark.parametrize("doc, msg", [
@@ -92,13 +99,14 @@ def test_int_promoted_for_float_fields():
     ({"phase_jitter": -0.1}, "phase_jitter"),
     ({"period_min": 50.0}, "period_min"),
     ({"sigma0": 0.0}, "sigma0"),
-    ({"width": 4}, "canvas"),
-    ({"keypoint_radius": 0.0}, "keypoint_radius"),
-    ({"confidence_mode": "soft"}, "confidence_mode"),
-    ({"threshold": 1.5}, "threshold"),
-    ({"tau_hand": -0.2}, "tau_hand"),
-    ({"pad_frac": -1.0}, "pad_frac"),
-    ({"w_hand": 0.5}, "w_hand"),
+    # bounds the cases above leave open
+    ({"total_frames": 1}, "total_frames must be >= 2"),
+    ({"seed": 2 ** 64}, "seed"),
+    ({"latent_height": 0}, "latent dims"),
+    ({"latent_width": 0}, "latent dims"),
+    ({"period_min": 0.0}, "period_min"),
+    ({"period_min": 48.0}, "period_min"),  # equal to period_max
+    ({"sigma0": -1.0}, "sigma0"),
     # size caps: integer arithmetic only, nothing is planned or allocated
     ({"latent_height": 10 ** 15}, "segment latents exceed"),
     ({"total_frames": 10 ** 15}, "segment latents exceed"),
@@ -106,7 +114,6 @@ def test_int_promoted_for_float_fields():
       "total_frames": 10 ** 12}, "segment latents exceed"),
     ({"latent_channels": 2 ** 20, "latent_height": 2 ** 20},
      "segment latents exceed"),
-    ({"width": 10 ** 8, "height": 10 ** 8}, "canvas exceeds"),
 ])
 def test_constraint_messages(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -119,7 +126,7 @@ def test_denoiser_kinds_accepted():
 
 
 def test_json_roundtrip(tmp_path):
-    cfg = config_from_dict({"total_frames": 30, "w_hand": 4.0,
+    cfg = config_from_dict({"total_frames": 30, "eta": 0.5,
                             "out_dir": "artifacts"})
     path = tmp_path / "c.json"
     path.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
@@ -136,8 +143,8 @@ def test_json_dump_is_flat_and_sorted():
     assert config_from_dict(doc) == RunConfig()
 
 
-@pytest.mark.parametrize("key", ["eta", "period_max", "w_hand", "threshold",
-                                 "mu", "pad_frac"])
+@pytest.mark.parametrize("key", ["eta", "period_max", "phase_jitter",
+                                 "period_min", "mu", "sigma0"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
                                    int("1" * 400)],
                          ids=["inf", "-inf", "nan", "400-digit-int"])
@@ -150,7 +157,7 @@ def test_non_finite_json_literals_rejected_at_load(tmp_path):
     # 1e999 parses as inf; without the check period_max passes validation
     # and fails later inside the phase stand-in
     path = tmp_path / "run.json"
-    for text in ('{"period_max": 1e999}', '{"w_hand": 1e999}',
+    for text in ('{"period_max": 1e999}', '{"phase_jitter": 1e999}',
                  '{"mu": NaN}', '{"sigma0": -Infinity}'):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="must be a finite float"):
@@ -169,7 +176,10 @@ def test_latent_cap_is_the_planned_stack_size(total, n, data):
     doc = {"total_frames": total, "segment_length": n,
            "context_overlap": overlap, "latent_channels": chans,
            "latent_height": height, "latent_width": width}
-    if stack <= MAX_ELEMENTS:
+    if total == 1:  # no frame-to-frame difference for the seam metrics
+        with pytest.raises(ConfigError, match="total_frames"):
+            config_from_dict(doc)
+    elif stack <= MAX_ELEMENTS:
         config_from_dict(doc)
     else:
         with pytest.raises(ConfigError, match="segment latents exceed"):
@@ -185,4 +195,40 @@ def test_size_cap_boundaries():
     config_from_dict(doc)
     with pytest.raises(ConfigError, match="segment latents exceed"):
         config_from_dict(dict(doc, latent_width=2 ** 11 + 1))
-    config_from_dict({"width": 4096, "height": 4096})  # 3 * 2**24 elements
+
+
+FIELD_NAMES = sorted(f.name for f in dataclasses.fields(RunConfig))
+# every kind of JSON value, with integers past float range and past 2**64
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(-10 ** 400, 10 ** 400) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5)
+CONFIG_DOCS = st.dictionaries(st.sampled_from(FIELD_NAMES), JSON_VALUES,
+                              max_size=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=CONFIG_DOCS)
+def test_any_json_value_raises_only_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=CONFIG_DOCS)
+def test_longvideo_rejected_config_returns_2(tmp_path, doc):
+    try:
+        config_from_dict(doc)
+    except ConfigError:
+        pass
+    else:
+        assume(False)  # an accepted config would run the whole clip
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["longvideo", "--config", str(path)]) == 2

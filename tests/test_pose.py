@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posefuse.pose import (PoseFrame, PoseParseError, parse_pose_sequence,
                            retarget_limb_lengths)
-from posefuse.skeleton import SkeletonLayout
+from posefuse.skeleton import LayoutError, SkeletonLayout
 
 from conftest import norm_frame, person_keypoints, pose_doc
 
@@ -71,6 +73,13 @@ def test_parse_rejects_malformed_document():
                        ("width", "576"), ("height", 10 ** 400)):
         with pytest.raises(PoseParseError):
             parse_pose_sequence(with_field(key, value))
+    # numpy would cast strings and booleans, and read null as NaN
+    for row in (["1", "2", "0.5"], [True, 2.0, 0.5], [1.0, None, 0.5],
+                [10 ** 400, 2.0, 0.5], [1.0, 2.0, [0.5]]):
+        doc = json.loads(pose_doc([person_keypoints()]).decode())
+        doc["frames"][0]["keypoints"][3] = row
+        with pytest.raises(PoseParseError, match="keypoints must be numbers"):
+            parse_pose_sequence(json.dumps(doc))
 
 
 def test_parse_rejects_nonfinite():
@@ -231,3 +240,46 @@ def test_retarget_layout_mismatch():
     template = _chain_seq([0.5, 0.6, 0.7], layout)
     with pytest.raises(PoseParseError):
         retarget_limb_lengths(template, norm_frame(person_keypoints()))
+
+
+POSE_FIELDS = ("layout", "width", "height", "fps", "frames")
+HOSTILE_VALUES = (st.none() | st.booleans() | st.text(max_size=4)
+                  | st.integers() | st.integers(-10 ** 400, 10 ** 400)
+                  | st.floats() | st.lists(st.floats(), max_size=4)
+                  | st.dictionaries(st.text(max_size=3), st.integers(),
+                                    max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.dictionaries(st.sampled_from(POSE_FIELDS), HOSTILE_VALUES,
+                              max_size=2),
+       dropped=st.sets(st.sampled_from(POSE_FIELDS), max_size=1),
+       slots=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 132),
+                                st.integers(0, 4), HOSTILE_VALUES),
+                      max_size=4))
+def test_parse_hostile_values_raise_only_declared_errors(fields, dropped,
+                                                         slots):
+    doc = json.loads(pose_doc([person_keypoints(), person_keypoints()],
+                              fps=24.0).decode())
+    frames = doc["frames"]
+    # entries first, then triples, then frames: each edit still finds its
+    # slot, and a later, wider edit may overwrite an earlier one
+    for f, k, slot, value in sorted(slots, key=lambda s: s[2]):
+        if slot < 3:  # one entry of one [x, y, conf] triple
+            frames[f]["keypoints"][k][slot] = value
+        elif slot == 3:  # the whole triple
+            frames[f]["keypoints"][k] = value
+        else:  # the whole frame object
+            frames[f] = value
+    doc.update(fields)
+    for key in dropped:
+        del doc[key]
+    try:
+        parse_pose_sequence(json.dumps(doc))
+    except (PoseParseError, LayoutError):
+        return
+    # parsed: every keypoint entry is a JSON number that fits a float
+    for frame in doc["frames"]:
+        for entry in (v for row in frame["keypoints"] for v in row):
+            assert type(entry) in (int, float)
+            assert math.isfinite(float(entry))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from posefuse.regions import (DEFAULT_PAD_FRAC, DEFAULT_TAU_HAND,
-                              LossWeightMap, build_weight_map,
-                              downsample_weight_map, hand_bbox, hand_regions,
+from posefuse.regions import (LossWeightMap, build_weight_map,
+                              downsample_weight_map, hand_bbox,
                               hand_reliability)
 from posefuse.render import MAX_ELEMENTS
 from posefuse.skeleton import WHOLEBODY_133
@@ -71,13 +70,20 @@ def test_bbox_degenerate_point():
     assert hand_bbox(corner, "left", 0.25, 576, 1024) == (0, 0, 5, 5)
 
 
-def test_hand_regions_reliability_gate():
+def test_hand_reliability_gates_weight_map():
     kp = person_keypoints(conf=0.9)
     for i in RIGHT:
         kp[i, 2] = 0.3
-    left, right = hand_regions(norm_frame(kp), 0.6, 0.25, 576, 1024)
-    assert left.side == "left" and left.reliable and not left.empty
-    assert right.side == "right" and not right.reliable
+    frame = norm_frame(kp)
+    assert hand_reliability(frame, "left", 0.6)
+    assert not hand_reliability(frame, "right", 0.6)
+    # only the reliable left box is amplified
+    x0, y0, x1, y1 = hand_bbox(frame, "left", 0.25, 576, 1024)
+    assert x1 > x0 and y1 > y0
+    expect = np.ones((1024, 576))
+    expect[y0:y1, x0:x1] = 10.0
+    wm = build_weight_map(frame, 0.6, 0.25, 10.0, 576, 1024)
+    np.testing.assert_array_equal(wm.data, expect)
 
 
 def test_weight_map_value_set(person_frame):
@@ -117,8 +123,9 @@ def test_weight_map_rejects_bad_settings(person_frame, tau_hand,
 def test_weight_map_matches_boxes(person_frame):
     wm = build_weight_map(person_frame, 0.6, 0.25, 10.0, 576, 1024)
     expect = np.ones((1024, 576))
-    for region in hand_regions(person_frame, 0.6, 0.25, 576, 1024):
-        x0, y0, x1, y1 = region.bbox
+    for side in ("left", "right"):
+        assert hand_reliability(person_frame, side, 0.6)
+        x0, y0, x1, y1 = hand_bbox(person_frame, side, 0.25, 576, 1024)
         expect[y0:y1, x0:x1] = 10.0
     np.testing.assert_array_equal(wm.data, expect)
 
@@ -190,8 +197,7 @@ def test_downsample_identity_factor():
 
 
 def test_downsample_full_pipeline_values(person_frame):
-    wm = build_weight_map(person_frame, DEFAULT_TAU_HAND, DEFAULT_PAD_FRAC,
-                          10.0, 576, 1024)
+    wm = build_weight_map(person_frame, 0.6, 0.25, 10.0, 576, 1024)
     small = downsample_weight_map(wm)
     assert small.data.shape == (128, 72)
     assert set(np.unique(small.data)) <= {1.0, 10.0}
@@ -201,5 +207,4 @@ def test_downsample_full_pipeline_values(person_frame):
 def test_weight_map_size_capped_before_allocation():
     frame = norm_frame(person_keypoints())
     with pytest.raises(ValueError, match=f"exceeds {MAX_ELEMENTS} elements"):
-        build_weight_map(frame, DEFAULT_TAU_HAND, DEFAULT_PAD_FRAC, 10.0,
-                         10 ** 8, 10 ** 8)
+        build_weight_map(frame, 0.6, 0.25, 10.0, 10 ** 8, 10 ** 8)
