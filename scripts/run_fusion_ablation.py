@@ -18,9 +18,10 @@ import argparse
 import sys
 import time
 
+from posefuse.diffusion import make_phase_instance
 from posefuse.fusion import (FUSION_MODES, boundary_jump_metric,
-                             frame_difference_profile, make_phase_instance,
-                             plan_segments, run_long_denoise)
+                             frame_difference_profile, plan_segments,
+                             run_long_denoise)
 
 
 def main(argv: list[str] | None = None) -> int:

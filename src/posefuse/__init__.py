@@ -10,12 +10,13 @@ from .config import ConfigError, RunConfig, config_from_dict, load_run_config
 from .diffusion import (AffineParams, Condition, NoiseSchedule, SigmaDist,
                         TrainingDiverged, affine_batch_loss, forward_diffuse,
                         karras_sigma_sample, linear_beta_schedule,
-                        loss_grad_linear, make_toy_denoiser,
-                        train_toy_denoiser, weighted_eps_loss)
+                        loss_grad_linear, make_phase_instance,
+                        make_toy_denoiser, train_toy_denoiser,
+                        weighted_eps_loss)
 from .fusion import (FUSION_MODES, SegmentPlan, assemble,
                      boundary_jump_metric, boundary_transitions, format_plan,
-                     frame_difference_profile, make_phase_instance,
-                     plan_segments, run_long_denoise)
+                     frame_difference_profile, plan_segments,
+                     run_long_denoise)
 from .pose import (PoseFrame, PoseParseError, PoseSequence,
                    parse_pose_sequence, retarget_limb_lengths)
 from .regions import (LossWeightMap, build_weight_map, downsample_weight_map,

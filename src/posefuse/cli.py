@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .diffusion import linear_beta_schedule, make_toy_denoiser
+from .diffusion import (linear_beta_schedule, make_phase_instance,
+                        make_toy_denoiser)
 from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
-                     frame_difference_profile, make_phase_instance,
-                     plan_segments, run_long_denoise)
+                     frame_difference_profile, plan_segments,
+                     run_long_denoise)
 from .io_formats import (FormatError, image_to_u8, mmtl_encode, pgm_encode,
                          ppm_encode, weight_map_preview)
 from .pose import PoseParseError, parse_pose_sequence

@@ -3,18 +3,24 @@
 The weighted loss is the plain mean-squared noise-prediction error with
 per-pixel weights from a LossWeightMap, normalized by the total weight
 so amplified regions change the gradient balance but not the loss scale.
-Toy denoisers satisfy the same call contract as the real video model
-(latents, condition, step) -> latents and stand in for it everywhere.
+Toy denoisers satisfy the same call contract as the real video model,
+(latents, condition, step) -> None with the latents updated in place,
+and stand in for it everywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .regions import LossWeightMap
+from .seeding import stream_rng
+
+if TYPE_CHECKING:
+    from .fusion import SegmentPlan
 
 DEFAULT_BETA_1 = 1e-4
 DEFAULT_BETA_T = 0.02
@@ -203,7 +209,41 @@ class Condition:
     segment_index: int = 0
 
 
-Denoiser = Callable[[np.ndarray, Condition, int], np.ndarray]
+# A denoiser overwrites the latents it is handed and returns None.
+Denoiser = Callable[[np.ndarray, Condition, int], None]
+
+# elements per chunk of the in-place pull; a private constant, not an option
+_CHUNK = 1 << 16
+
+
+def _pull_denoiser(target_of: Callable[[np.ndarray, Condition], np.ndarray],
+                   eta: float) -> Denoiser:
+    """Denoiser moving C-contiguous z a fraction eta toward target_of(z, cond).
+
+    The update runs ``b = target - z; b *= eta; z += b`` over chunks of
+    _CHUNK elements through one buffer kept for the denoiser's lifetime,
+    so calls must not overlap. IEEE addition and multiplication
+    commute, so z ends up with the bits of ``z + eta * (target - z)``.
+    """
+    if not 0 < eta <= 1:
+        raise ValueError("eta must lie in (0, 1]")
+    buf = np.empty(_CHUNK)
+
+    def pull(z: np.ndarray, cond: Condition, t: int) -> None:
+        target = target_of(z, cond)
+        if target.shape != z.shape:
+            raise ValueError(f"target {target.shape} != latents {z.shape}")
+        if not z.flags.c_contiguous:
+            raise ValueError("latents must be C-contiguous to update in place")
+        flat_z, flat_target = z.reshape(-1), target.reshape(-1)
+        for a in range(0, flat_z.size, _CHUNK):
+            zc = flat_z[a:a + _CHUNK]
+            b = buf[:zc.size]
+            np.subtract(flat_target[a:a + _CHUNK], zc, out=b)
+            b *= eta
+            zc += b
+
+    return pull
 
 
 def make_toy_denoiser(kind: str, *, target: np.ndarray | None = None,
@@ -215,23 +255,18 @@ def make_toy_denoiser(kind: str, *, target: np.ndarray | None = None,
     ``smoother`` pulls latents a fraction eta toward the matching slice
     of a supplied target trajectory each step. ``analytic_gaussian`` is
     the exact posterior-mean denoiser for i.i.d. Normal(mu, sigma0^2)
-    data under the given schedule.
+    data under the given schedule. Both update the latents in place.
     """
     if kind == "smoother":
         if target is None or eta is None:
             raise ValueError("smoother needs target and eta")
-        if not 0 < eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
-        tgt_full = np.asarray(target, dtype=np.float64)
+        tgt_full = np.ascontiguousarray(target, dtype=np.float64)
 
-        def smoother(z: np.ndarray, cond: Condition, t: int) -> np.ndarray:
+        def segment_slice(z: np.ndarray, cond: Condition) -> np.ndarray:
             off = cond.frame_offset if cond is not None else 0
-            tgt = tgt_full[off:off + z.shape[0]]
-            if tgt.shape != z.shape:
-                raise ValueError(f"target slice {tgt.shape} != latents {z.shape}")
-            return z + eta * (tgt - z)
+            return tgt_full[off:off + z.shape[0]]
 
-        return smoother
+        return _pull_denoiser(segment_slice, eta)
 
     if kind == "analytic_gaussian":
         if sched is None:
@@ -240,10 +275,57 @@ def make_toy_denoiser(kind: str, *, target: np.ndarray | None = None,
             raise ValueError("sigma0 must be > 0")
         var0 = sigma0 * sigma0
 
-        def posterior_mean(z: np.ndarray, cond: Condition, t: int) -> np.ndarray:
+        def posterior_mean(z: np.ndarray, cond: Condition, t: int) -> None:
             ab = sched.alpha_bar_at(t)
-            return (var0 * np.sqrt(ab) * z + (1.0 - ab) * mu) / (ab * var0 + (1.0 - ab))
+            # (var0 * sqrt(ab) * z + (1 - ab) * mu) / (ab * var0 + (1 - ab))
+            z *= var0 * np.sqrt(ab)
+            z += (1.0 - ab) * mu
+            z /= ab * var0 + (1.0 - ab)
 
         return posterior_mean
 
     raise ValueError(f"unknown toy denoiser kind {kind!r}")
+
+
+def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
+                        seed: int, eta: float = 0.35,
+                        phase_jitter: float = 0.3,
+                        period_range: tuple[float, float] = (24.0, 48.0),
+                        ) -> Denoiser:
+    """Synthetic long-video workload where segments mildly disagree.
+
+    Every latent pixel follows its own sinusoid over frame index (random
+    period and phase), and each segment perturbs the phase by a small
+    random offset. The denoiser pulls latents a fraction eta toward its
+    segment's version of the trajectory per step, so without fusion the
+    seams keep a phase mismatch while fusion reconciles them. The
+    target does not depend on the step, so it is computed once per
+    (frame offset, segment index, segment length) and kept for the
+    denoiser's lifetime.
+    """
+    lo, hi = period_range
+    if not 0 < lo < hi:
+        raise ValueError("period_range must be increasing and positive")
+    shape = tuple(latent_shape)
+    period = stream_rng(seed, 100).uniform(lo, hi, size=shape)
+    pixel_phase = stream_rng(seed, 101).uniform(0.0, 2.0 * math.pi, size=shape)
+    seg_phase = stream_rng(seed, 102).uniform(-phase_jitter, phase_jitter,
+                                              size=len(plan))
+
+    targets: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def phase_target(z: np.ndarray, cond: Condition) -> np.ndarray:
+        if z.shape[1:] != shape:
+            raise ValueError(f"latents {z.shape[1:]} != instance shape {shape}")
+        key = (cond.frame_offset, cond.segment_index, z.shape[0])
+        target = targets.get(key)
+        if target is None:
+            frames = cond.frame_offset + np.arange(z.shape[0])
+            # 2 pi f / period + pixel_phase + seg_phase, then sin, in place
+            target = 2.0 * math.pi * frames[:, None, None, None] / period
+            target += pixel_phase
+            target += seg_phase[cond.segment_index]
+            targets[key] = np.sin(target, out=target)
+        return target
+
+    return _pull_denoiser(phase_target, eta)

@@ -123,16 +123,16 @@ class _OverlapTable:
     adjacent pair (the later pair where three or more segments hold the
     frame), ``w_next[j]``/``w_prev[j]`` that pair's blend weights, shaped
     (F, 1) to broadcast over a row. ``copies[k]`` is (entries, rows) for
-    the k-th holder in segment order: which entries have one (a slice
-    when all do) and that holder's rows; fused values are scattered back
-    to every one of them. ``count`` is the holder count as float (F, 1).
+    the k-th holder in segment order: the ascending entries that have
+    one and that holder's rows; fused values are scattered back to every
+    one of them. ``count`` is the holder count as float (F, 1).
     """
 
     prev: np.ndarray
     next: np.ndarray
     w_next: np.ndarray
     w_prev: np.ndarray
-    copies: tuple[tuple[slice | np.ndarray, np.ndarray], ...]
+    copies: tuple[tuple[np.ndarray, np.ndarray], ...]
     count: np.ndarray
 
 
@@ -159,8 +159,7 @@ def _overlap_table(plan: SegmentPlan) -> _OverlapTable:
     copies = []
     for k in range(max(map(len, holders), default=0)):
         sel = [j for j, h in enumerate(holders) if len(h) > k]
-        copies.append((slice(None) if len(sel) == len(holders) else index(sel),
-                       index([holders[j][k] for j in sel])))
+        copies.append((index(sel), index([holders[j][k] for j in sel])))
     w_next = np.array([decider[f][2] for f in frames]).reshape(-1, 1)
     return _OverlapTable(
         prev=index([decider[f][0] for f in frames]),
@@ -170,34 +169,57 @@ def _overlap_table(plan: SegmentPlan) -> _OverlapTable:
         count=np.array([float(len(h)) for h in holders]).reshape(-1, 1))
 
 
+# elements per block of shared frames, so that a block and its scratch
+# stay cache-sized; a private constant, not an option
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def _fuse_stack(stack: np.ndarray, table: _OverlapTable, mode: str) -> None:
     """Fuse a C-contiguous (S, N, ...) float64 stack of segments in place.
 
     ``progressive`` blends each shared frame's deciding pair,
     ``uniform`` sums all copies in segment order and divides by their
-    count, ``none`` leaves the stack alone. Fused values are computed
-    from the pre-fusion rows before any row is written, then every copy
-    of a frame receives the same value.
+    count, ``none`` leaves the stack alone. The overlap table is walked
+    in blocks of shared frames through one (2, block, row) scratch
+    buffer. A block's fused values are computed from the pre-fusion rows
+    before any of its rows is written, and no frame is in two blocks,
+    so every copy of a frame receives the same value.
     """
     if mode == "none":
         return
     rows = stack.reshape(stack.shape[0] * stack.shape[1],
                          math.prod(stack.shape[2:]))
-    if mode == "progressive":
-        # w_next * next + w_prev * prev with two frame-table-sized buffers
-        value = rows[table.next]
-        value *= table.w_next
-        prev = rows[table.prev]
-        prev *= table.w_prev
-        value += prev
-    else:
-        # summed from 0.0 in segment order, as np.mean over the copies
-        value = np.zeros((len(table.count), rows.shape[1]))
-        for sel, copy_rows in table.copies:
-            value[sel] += rows[copy_rows]
-        value /= table.count
-    for sel, copy_rows in table.copies:
-        rows[copy_rows] = value[sel]
+    frames = len(table.count)
+    block = max(1, _BLOCK_ELEMENTS // rows.shape[1])
+    scratch = np.empty((2, min(block, frames), rows.shape[1]))
+    for j0 in range(0, frames, block):
+        j1 = min(j0 + block, frames)
+        value, other = scratch[:, :j1 - j0]
+        # each holder's entries in this block, and their rows
+        spans = []
+        for entries, copy_rows in table.copies:
+            lo, hi = np.searchsorted(entries, (j0, j1))
+            at = slice(None) if hi - lo == j1 - j0 else entries[lo:hi] - j0
+            spans.append((at, copy_rows[lo:hi]))
+        # the indices are in range by construction; "clip" writes straight
+        # into out, where the default "raise" buffers it
+        if mode == "progressive":
+            # w_next * next + w_prev * prev
+            np.take(rows, table.next[j0:j1], axis=0, out=value, mode="clip")
+            value *= table.w_next[j0:j1]
+            np.take(rows, table.prev[j0:j1], axis=0, out=other, mode="clip")
+            other *= table.w_prev[j0:j1]
+            value += other
+        else:
+            # summed from 0.0 in segment order, as np.mean over the copies
+            value.fill(0.0)
+            for at, copy_rows in spans:
+                part = other[:len(copy_rows)]
+                np.take(rows, copy_rows, axis=0, out=part, mode="clip")
+                value[at] += part
+            value /= table.count[j0:j1]
+        for at, copy_rows in spans:
+            rows[copy_rows] = value[at]
 
 
 def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
@@ -248,9 +270,12 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
 
     Segment i starts from Gaussian noise drawn on its own seed stream.
     All segments live in one (S, N, C, H, W) stack of per-frame
-    ``latent_shape``; each step calls the denoiser once per segment,
-    writes its output into that segment's slot, and then fuses overlaps
-    per mode in place using an overlap table built once per call.
+    ``latent_shape``; each step calls the denoiser once per segment on
+    that segment's slot, which the denoiser updates in place (it must
+    return None), and then fuses overlaps per mode in place using an
+    overlap table built once per call. ``cond.pose_features``, when
+    given, must hold ``plan.total_frames`` frames; each segment gets its
+    own slice.
     ``on_step(t, latents)`` gets one array per segment after fusion;
     they are views of the stack that later steps overwrite, so a
     callback copies whatever it keeps. Steps count down from `steps` to
@@ -261,29 +286,25 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
     base = cond if cond is not None else Condition()
+    pose = base.pose_features
+    if pose is not None and len(pose) != plan.total_frames:
+        raise ValueError(f"pose_features hold {len(pose)} frames, expected "
+                         f"total_frames={plan.total_frames}")
     shape = (plan.frames_per_segment,) + tuple(latent_shape)
 
     conds = []
     stack = np.empty((len(plan),) + shape)
     for i, (s, e) in enumerate(plan.segments):
-        c = replace(base, frame_offset=s, segment_index=i)
-        if (base.pose_features is not None
-                and len(base.pose_features) == plan.total_frames):
-            c = replace(c, pose_features=base.pose_features[s:e])
-        conds.append(c)
+        conds.append(replace(base, frame_offset=s, segment_index=i,
+                             pose_features=None if pose is None else pose[s:e]))
         stream_rng(seed, i, 0).standard_normal(shape, out=stack[i])
     table = _overlap_table(plan)
 
-    # a function, so each denoiser output is freed before the next call
-    def advance(i: int, t: int) -> None:
-        z = denoiser(stack[i], conds[i], t)
-        if z.shape != shape:
-            raise ValueError(f"denoiser changed shape {shape} -> {z.shape}")
-        stack[i] = z
-
     for t in range(steps, 0, -1):
         for i in range(len(plan)):
-            advance(i, t)
+            if denoiser(stack[i], conds[i], t) is not None:
+                raise ValueError("a denoiser must update its latents in "
+                                 "place and return None")
         _fuse_stack(stack, table, mode)
         if on_step is not None:
             on_step(t, list(stack))
@@ -294,7 +315,8 @@ def frame_difference_profile(video: np.ndarray) -> np.ndarray:
     """Mean absolute change between consecutive frames, length L - 1."""
     if video.ndim < 2 or video.shape[0] < 2:
         raise ValueError("need at least 2 frames")
-    diffs = np.abs(np.diff(video, axis=0))
+    diffs = np.diff(video, axis=0)
+    np.abs(diffs, out=diffs)
     return diffs.reshape(diffs.shape[0], -1).mean(axis=1)
 
 
@@ -323,51 +345,3 @@ def boundary_jump_metric(profile: np.ndarray, plan: SegmentPlan) -> float:
     interior = np.delete(profile, marks)
     baseline = np.median(interior) if interior.size else np.median(profile)
     return float(np.max(profile[marks]) - baseline)
-
-
-def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
-                        seed: int, eta: float = 0.35,
-                        phase_jitter: float = 0.3,
-                        period_range: tuple[float, float] = (24.0, 48.0),
-                        ) -> Denoiser:
-    """Synthetic long-video workload where segments mildly disagree.
-
-    Every latent pixel follows its own sinusoid over frame index (random
-    period and phase), and each segment perturbs the phase by a small
-    random offset. The denoiser pulls latents a fraction eta toward its
-    segment's version of the trajectory per step, so without fusion the
-    seams keep a phase mismatch while fusion reconciles them. The
-    target does not depend on the step, so it is computed once per
-    (frame offset, segment index, segment length) and kept for the
-    denoiser's lifetime.
-    """
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
-    lo, hi = period_range
-    if not 0 < lo < hi:
-        raise ValueError("period_range must be increasing and positive")
-    shape = tuple(latent_shape)
-    period = stream_rng(seed, 100).uniform(lo, hi, size=shape)
-    pixel_phase = stream_rng(seed, 101).uniform(0.0, 2.0 * math.pi, size=shape)
-    seg_phase = stream_rng(seed, 102).uniform(-phase_jitter, phase_jitter,
-                                              size=len(plan))
-
-    targets: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def denoise(z: np.ndarray, cond: Condition, t: int) -> np.ndarray:
-        if z.shape[1:] != shape:
-            raise ValueError(f"latents {z.shape[1:]} != instance shape {shape}")
-        key = (cond.frame_offset, cond.segment_index, z.shape[0])
-        target = targets.get(key)
-        if target is None:
-            frames = cond.frame_offset + np.arange(z.shape[0])
-            angle = (2.0 * math.pi * frames[:, None, None, None] / period
-                     + pixel_phase + seg_phase[cond.segment_index])
-            target = targets[key] = np.sin(angle)
-        # z + eta * (target - z), evaluated in one fresh array
-        out = target - z
-        out *= eta
-        out += z
-        return out
-
-    return denoise

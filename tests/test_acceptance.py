@@ -21,10 +21,10 @@ import numpy as np
 from posefuse.diffusion import (AffineParams, SigmaDist, affine_batch_loss,
                                 forward_diffuse, karras_sigma_sample,
                                 linear_beta_schedule, loss_grad_linear,
-                                make_toy_denoiser, train_toy_denoiser)
+                                make_phase_instance, make_toy_denoiser,
+                                train_toy_denoiser)
 from posefuse.fusion import (boundary_jump_metric, frame_difference_profile,
-                             fuse_segments, make_phase_instance,
-                             overlap_weights, plan_segments,
+                             fuse_segments, overlap_weights, plan_segments,
                              run_long_denoise)
 from posefuse.pose import PoseFrame
 from posefuse.posenet import (LAYER_SPECS, init_posenet_weights,

@@ -342,21 +342,35 @@ def test_smoother_eta_one_returns_target():
     target = np.random.default_rng(0).normal(size=(6, 2, 3, 3))
     den = make_toy_denoiser("smoother", target=target, eta=1.0)
     z = np.zeros((6, 2, 3, 3))
-    np.testing.assert_array_equal(den(z, Condition(), 5), target)
+    assert den(z, Condition(), 5) is None
+    np.testing.assert_array_equal(z, target)
+
+
+def test_smoother_in_place_matches_expression_bitwise():
+    # 3 * 5 * 71 * 67 elements: more than one chunk, and a partial last one
+    rng = np.random.default_rng(4)
+    target = rng.normal(size=(9, 5, 71, 67))
+    den = make_toy_denoiser("smoother", target=target, eta=0.35)
+    z = rng.normal(size=(3, 5, 71, 67))
+    expect = z + 0.35 * (target[2:5] - z)
+    den(z, Condition(frame_offset=2), 1)
+    assert z.tobytes() == expect.tobytes()
 
 
 def test_smoother_midpoint():
     target = np.full((2, 1, 2, 2), 2.0)
     den = make_toy_denoiser("smoother", target=target, eta=0.5)
-    out = den(np.zeros((2, 1, 2, 2)), Condition(), 1)
-    np.testing.assert_array_equal(out, np.ones((2, 1, 2, 2)))
+    z = np.zeros((2, 1, 2, 2))
+    den(z, Condition(), 1)
+    np.testing.assert_array_equal(z, np.ones((2, 1, 2, 2)))
 
 
 def test_smoother_uses_frame_offset():
     target = np.arange(8, dtype=float).reshape(8, 1, 1, 1)
     den = make_toy_denoiser("smoother", target=target, eta=1.0)
-    out = den(np.zeros((3, 1, 1, 1)), Condition(frame_offset=4), 1)
-    np.testing.assert_array_equal(out.ravel(), [4.0, 5.0, 6.0])
+    z = np.zeros((3, 1, 1, 1))
+    den(z, Condition(frame_offset=4), 1)
+    np.testing.assert_array_equal(z.ravel(), [4.0, 5.0, 6.0])
 
 
 def test_smoother_shape_mismatch():
@@ -382,8 +396,8 @@ def test_analytic_gaussian_converges_to_mean():
     rng = np.random.default_rng(6)
     x0 = mu + 2.0 * rng.standard_normal((4, 1, 8, 8))
     x_t = forward_diffuse(x0, 1, sched, rng.standard_normal(x0.shape))
-    denoised = den(x_t, Condition(), 1)
-    assert np.abs(denoised - x0).max() < 1e-6
+    assert den(x_t, Condition(), 1) is None
+    assert np.abs(x_t - x0).max() < 1e-6
 
 
 def test_analytic_gaussian_high_noise_returns_prior_mean():
@@ -392,8 +406,30 @@ def test_analytic_gaussian_high_noise_returns_prior_mean():
     den = make_toy_denoiser("analytic_gaussian", mu=-0.75, sigma0=1.0,
                             sched=sched)
     z = np.random.default_rng(8).normal(size=(2, 1, 4, 4))
-    out = den(z, Condition(), 1)
-    np.testing.assert_allclose(out, -0.75, atol=1e-5)
+    den(z, Condition(), 1)
+    np.testing.assert_allclose(z, -0.75, atol=1e-5)
+
+
+def test_analytic_gaussian_in_place_matches_expression_bitwise():
+    sched = linear_beta_schedule(50)
+    mu, sigma0 = 0.3, 1.7
+    den = make_toy_denoiser("analytic_gaussian", mu=mu, sigma0=sigma0,
+                            sched=sched)
+    var0 = sigma0 * sigma0
+    z = np.random.default_rng(5).normal(size=(4, 2, 5, 5))
+    for t in (50, 17, 1):
+        ab = sched.alpha_bar_at(t)
+        expect = ((var0 * np.sqrt(ab) * z + (1.0 - ab) * mu)
+                  / (ab * var0 + (1.0 - ab)))
+        den(z, Condition(), t)
+        assert z.tobytes() == expect.tobytes()
+
+
+def test_smoother_rejects_non_contiguous_latents():
+    den = make_toy_denoiser("smoother", target=np.zeros((4, 1, 2, 2)), eta=0.5)
+    z = np.zeros((4, 1, 2, 4))[..., ::2]
+    with pytest.raises(ValueError):
+        den(z, Condition(), 1)
 
 
 def test_analytic_gaussian_needs_schedule():

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posefuse.diffusion import Condition, make_toy_denoiser
+from posefuse import fusion
+from posefuse.diffusion import (Condition, make_phase_instance,
+                                make_toy_denoiser)
 from posefuse.fusion import (FUSION_MODES, SegmentPlan, assemble,
                              boundary_jump_metric, boundary_transitions,
                              format_plan, frame_difference_profile,
-                             fuse_segments, make_phase_instance,
-                             overlap_weights, plan_segments, run_long_denoise)
+                             fuse_segments, overlap_weights, plan_segments,
+                             run_long_denoise)
 from posefuse.seeding import stream_rng
 
 
@@ -246,6 +249,21 @@ def loop_fuse(latents, plan, mode):
     return out
 
 
+def assert_fuse_matches_loop(latents, plan):
+    """Every mode matches loop_fuse bit for bit, with the overlap table
+    walked in one block and in blocks of 1, 2 and 3 shared frames."""
+    row = math.prod(latents[0].shape[1:])
+    for frames_per_block in (None, 1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            if frames_per_block is not None:
+                mp.setattr(fusion, "_BLOCK_ELEMENTS", frames_per_block * row)
+            for mode in FUSION_MODES:
+                expect = loop_fuse(latents, plan, mode)
+                for got, ref in zip(fuse_segments(latents, plan, mode),
+                                    expect):
+                    assert got.tobytes() == ref.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 12), st.data())
 def test_fuse_matches_loop_reference_bitwise(N, data):
@@ -254,10 +272,18 @@ def test_fuse_matches_loop_reference_bitwise(N, data):
     plan = plan_segments(L, N, C)
     latents = seg_noise(plan, shape=(1, 2, 2),
                         seed=data.draw(st.integers(0, 2 ** 32 - 1)))
-    for mode in FUSION_MODES:
-        expect = loop_fuse(latents, plan, mode)
-        for got, ref in zip(fuse_segments(latents, plan, mode), expect):
-            assert got.tobytes() == ref.tobytes()
+    assert_fuse_matches_loop(latents, plan)
+
+
+def test_fuse_blocks_split_three_holder_tail_frames():
+    plan = plan_segments(37, 16, 6)  # pinned tail: frames 21..25 held thrice
+    assert plan.starts == (0, 10, 20, 21)
+    triple = fusion._overlap_table(plan).copies[2][0]
+    assert len(triple) == 5
+    for frames_per_block in (1, 2, 3):
+        # the three-holder entries straddle at least one block edge
+        assert len({int(j) // frames_per_block for j in triple}) > 1
+    assert_fuse_matches_loop(seg_noise(plan, shape=(1, 2, 2), seed=3), plan)
 
 
 # ---- assembly ----------------------------------------------------------
@@ -293,7 +319,7 @@ def test_assemble_after_fusion_choice_irrelevant():
 def test_run_long_denoise_t1_none_identity_denoiser():
     plan = plan_segments(36, 16, 6)
     shape = (2, 3, 3)
-    identity = lambda z, cond, t: z
+    identity = lambda z, cond, t: None
     video = run_long_denoise(identity, None, plan, 1, "none", seed=9,
                              latent_shape=shape)
     expect = assemble([stream_rng(9, i, 0).standard_normal((16,) + shape)
@@ -341,7 +367,6 @@ def test_run_long_denoise_slices_pose_features():
         offsets.append((cond.segment_index, cond.frame_offset,
                         None if cond.pose_features is None
                         else len(cond.pose_features)))
-        return z
 
     cond = Condition(pose_features=np.zeros((36, 1, 2, 2)))
     run_long_denoise(spy, cond, plan, 1, "none", seed=0,
@@ -349,21 +374,57 @@ def test_run_long_denoise_slices_pose_features():
     assert offsets == [(0, 0, 16), (1, 10, 16), (2, 20, 16)]
 
 
-def test_run_long_denoise_rejects_shape_changing_denoiser():
+def test_run_long_denoise_rejects_pose_features_of_other_length():
+    plan = plan_segments(36, 16, 6)
+    for frames in (16, 35, 37):
+        cond = Condition(pose_features=np.zeros((frames, 1, 2, 2)))
+        with pytest.raises(ValueError, match="pose_features"):
+            run_long_denoise(lambda z, c, t: None, cond, plan, 1, "none",
+                             seed=0, latent_shape=(1, 2, 2))
+
+
+def test_run_long_denoise_rejects_denoiser_returning_a_value():
     plan = plan_segments(16, 16, 6)
-    bad = lambda z, cond, t: z[:, :, :1, :]
-    with pytest.raises(ValueError):
-        run_long_denoise(bad, None, plan, 1, "none", seed=0,
-                         latent_shape=(1, 2, 2))
+    for result in (lambda z: z, lambda z: z.copy(), lambda z: 0.0):
+        bad = lambda z, cond, t, result=result: result(z)
+        with pytest.raises(ValueError, match="in place"):
+            run_long_denoise(bad, None, plan, 1, "none", seed=0,
+                             latent_shape=(1, 2, 2))
+
+
+def test_run_long_denoise_step_allocates_less_than_one_segment():
+    # denoisers update their slot in place and fusion works through
+    # block-sized scratch, so a step's transient arrays stay small
+    plan = plan_segments(72, 16, 6)
+    shape = (4, 64, 64)
+    segment_bytes = plan.frames_per_segment * math.prod(shape) * 8
+    for mode in ("progressive", "uniform"):
+        den = make_phase_instance(plan, shape, seed=0)
+        transient = []
+
+        def measure(t, latents):
+            current, peak = tracemalloc.get_traced_memory()
+            transient.append(peak - current)
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            run_long_denoise(den, None, plan, 4, mode, seed=0,
+                             latent_shape=shape, on_step=measure)
+        finally:
+            tracemalloc.stop()
+        # step 1 also builds the stack and the cached phase targets
+        assert len(transient) == 4
+        assert max(transient[1:]) < segment_bytes, (mode, transient)
 
 
 def test_run_long_denoise_validation():
     plan = plan_segments(16, 16, 6)
     with pytest.raises(ValueError):
-        run_long_denoise(lambda z, c, t: z, None, plan, 0, "none", seed=0,
+        run_long_denoise(lambda z, c, t: None, None, plan, 0, "none", seed=0,
                          latent_shape=(1, 1, 1))
     with pytest.raises(ValueError):
-        run_long_denoise(lambda z, c, t: z, None, plan, 1, "wild", seed=0,
+        run_long_denoise(lambda z, c, t: None, None, plan, 1, "wild", seed=0,
                          latent_shape=(1, 1, 1))
 
 
@@ -477,22 +538,23 @@ def test_phase_instance_closed_form_per_segment():
     for t in (25, 7, 1, 25):
         for i, (s, _e) in enumerate(plan.segments):
             z = rng.normal(size=(16,) + shape)
-            before = z.copy()
             frames = s + np.arange(16)
             angle = (2.0 * math.pi * frames[:, None, None, None] / period
                      + pixel_phase + seg_phase[i])
             expect = z + eta * (np.sin(angle) - z)
-            out = den(z, Condition(frame_offset=s, segment_index=i), t)
-            assert out.tobytes() == expect.tobytes()
-            assert z.tobytes() == before.tobytes()
+            assert den(z, Condition(frame_offset=s, segment_index=i),
+                       t) is None
+            assert z.tobytes() == expect.tobytes()
+
+    def pulled(offset, index, t):
+        z = np.zeros((16,) + shape)
+        den(z, Condition(frame_offset=offset, segment_index=index), t)
+        return z
+
     # same offset, other segment index: a different target, not a cache hit
-    z = np.zeros((16,) + shape)
-    a = den(z, Condition(frame_offset=10, segment_index=1), 3)
-    b = den(z, Condition(frame_offset=10, segment_index=2), 3)
-    c = den(z, Condition(frame_offset=20, segment_index=1), 3)
+    a, b, c = pulled(10, 1, 3), pulled(10, 2, 3), pulled(20, 1, 3)
     assert not np.array_equal(a, b) and not np.array_equal(a, c)
-    assert a.tobytes() == den(z, Condition(frame_offset=10,
-                                           segment_index=1), 9).tobytes()
+    assert a.tobytes() == pulled(10, 1, 9).tobytes()
 
 
 def test_smoother_toy_denoiser_in_loop():
