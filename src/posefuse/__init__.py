@@ -14,7 +14,7 @@ from .diffusion import (AffineParams, Condition, NoiseSchedule, SigmaDist,
                         make_toy_denoiser, train_toy_denoiser,
                         weighted_eps_loss)
 from .fusion import (FUSION_MODES, SegmentPlan, assemble,
-                     boundary_jump_metric, boundary_transitions, format_plan,
+                     boundary_jump_metric, format_plan,
                      frame_difference_profile, plan_segments,
                      run_long_denoise)
 from .pose import (PoseFrame, PoseParseError, PoseSequence,

@@ -80,7 +80,7 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     plan = plan_segments(cfg.total_frames, cfg.segment_length,
                          cfg.context_overlap)
     latent_shape = (cfg.latent_channels, cfg.latent_height, cfg.latent_width)
-    # the denoiser (and any target it caches) is freed once the loop ends
+    # the denoiser and its whole-plan target are freed once the loop ends
     video = run_long_denoise(_build_denoiser(cfg, plan, latent_shape), None,
                              plan, cfg.steps, mode, cfg.seed,
                              latent_shape=latent_shape)

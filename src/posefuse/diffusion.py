@@ -5,7 +5,8 @@ per-pixel weights from a LossWeightMap, normalized by the total weight
 so amplified regions change the gradient balance but not the loss scale.
 Toy denoisers satisfy the same call contract as the real video model,
 (latents, condition, step) -> None with the latents updated in place,
-and stand in for it everywhere.
+and stand in for it everywhere; the long-video loop hands them its
+whole (S, N, C, H, W) segment stack in one call per step.
 """
 
 from __future__ import annotations
@@ -199,14 +200,11 @@ def train_toy_denoiser(samples: Sequence[Sample], w: LossWeightMap | np.ndarray,
 class Condition:
     """Conditioning bundle handed to a denoiser.
 
-    pose_features carry per-frame guidance features. frame_offset and
-    segment_index identify which slice of a long video a segment covers,
-    so per-segment denoiser calls know their position.
+    pose_features carry per-frame guidance features; in the long-video
+    loop they hold one entry per slot of the (S, N, ...) segment stack.
     """
 
     pose_features: np.ndarray | None = None
-    frame_offset: int = 0
-    segment_index: int = 0
 
 
 # A denoiser overwrites the latents it is handed and returns None.
@@ -216,10 +214,10 @@ Denoiser = Callable[[np.ndarray, Condition, int], None]
 _CHUNK = 1 << 16
 
 
-def _pull_denoiser(target_of: Callable[[np.ndarray, Condition], np.ndarray],
-                   eta: float) -> Denoiser:
-    """Denoiser moving C-contiguous z a fraction eta toward target_of(z, cond).
+def _pull_denoiser(target: np.ndarray, eta: float) -> Denoiser:
+    """Denoiser moving C-contiguous z a fraction eta toward target.
 
+    The target has the latents' shape and does not depend on the step.
     The update runs ``b = target - z; b *= eta; z += b`` over chunks of
     _CHUNK elements through one buffer kept for the denoiser's lifetime,
     so calls must not overlap. IEEE addition and multiplication
@@ -227,15 +225,16 @@ def _pull_denoiser(target_of: Callable[[np.ndarray, Condition], np.ndarray],
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
+    target = np.ascontiguousarray(target, dtype=np.float64)
+    flat_target = target.reshape(-1)
     buf = np.empty(_CHUNK)
 
     def pull(z: np.ndarray, cond: Condition, t: int) -> None:
-        target = target_of(z, cond)
-        if target.shape != z.shape:
+        if z.shape != target.shape:
             raise ValueError(f"target {target.shape} != latents {z.shape}")
         if not z.flags.c_contiguous:
             raise ValueError("latents must be C-contiguous to update in place")
-        flat_z, flat_target = z.reshape(-1), target.reshape(-1)
+        flat_z = z.reshape(-1)
         for a in range(0, flat_z.size, _CHUNK):
             zc = flat_z[a:a + _CHUNK]
             b = buf[:zc.size]
@@ -252,21 +251,17 @@ def make_toy_denoiser(kind: str, *, target: np.ndarray | None = None,
                       sched: NoiseSchedule | None = None) -> Denoiser:
     """Build a stand-in denoiser satisfying the model call contract.
 
-    ``smoother`` pulls latents a fraction eta toward the matching slice
-    of a supplied target trajectory each step. ``analytic_gaussian`` is
-    the exact posterior-mean denoiser for i.i.d. Normal(mu, sigma0^2)
-    data under the given schedule. Both update the latents in place.
+    ``smoother`` pulls latents a fraction eta toward a supplied target
+    of the latents' own shape each step (for the long-video loop, a
+    trajectory gathered into the segment stack's layout).
+    ``analytic_gaussian`` is the exact posterior-mean denoiser for
+    i.i.d. Normal(mu, sigma0^2) data under the given schedule. Both
+    update the latents in place.
     """
     if kind == "smoother":
         if target is None or eta is None:
             raise ValueError("smoother needs target and eta")
-        tgt_full = np.ascontiguousarray(target, dtype=np.float64)
-
-        def segment_slice(z: np.ndarray, cond: Condition) -> np.ndarray:
-            off = cond.frame_offset if cond is not None else 0
-            return tgt_full[off:off + z.shape[0]]
-
-        return _pull_denoiser(segment_slice, eta)
+        return _pull_denoiser(target, eta)
 
     if kind == "analytic_gaussian":
         if sched is None:
@@ -296,12 +291,11 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
 
     Every latent pixel follows its own sinusoid over frame index (random
     period and phase), and each segment perturbs the phase by a small
-    random offset. The denoiser pulls latents a fraction eta toward its
-    segment's version of the trajectory per step, so without fusion the
-    seams keep a phase mismatch while fusion reconciles them. The
-    target does not depend on the step, so it is computed once per
-    (frame offset, segment index, segment length) and kept for the
-    denoiser's lifetime.
+    random offset. The denoiser pulls the plan's whole (S, N, C, H, W)
+    segment stack a fraction eta toward each segment's version of the
+    trajectory per step, so without fusion the seams keep a phase
+    mismatch while fusion reconciles them. The target does not depend
+    on the step, so it is built once, here, for every slot of the plan.
     """
     lo, hi = period_range
     if not 0 < lo < hi:
@@ -312,20 +306,8 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     seg_phase = stream_rng(seed, 102).uniform(-phase_jitter, phase_jitter,
                                               size=len(plan))
 
-    targets: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def phase_target(z: np.ndarray, cond: Condition) -> np.ndarray:
-        if z.shape[1:] != shape:
-            raise ValueError(f"latents {z.shape[1:]} != instance shape {shape}")
-        key = (cond.frame_offset, cond.segment_index, z.shape[0])
-        target = targets.get(key)
-        if target is None:
-            frames = cond.frame_offset + np.arange(z.shape[0])
-            # 2 pi f / period + pixel_phase + seg_phase, then sin, in place
-            target = 2.0 * math.pi * frames[:, None, None, None] / period
-            target += pixel_phase
-            target += seg_phase[cond.segment_index]
-            targets[key] = np.sin(target, out=target)
-        return target
-
-    return _pull_denoiser(phase_target, eta)
+    # 2 pi f / period + pixel_phase + seg_phase, then sin, in place
+    target = 2.0 * math.pi * plan.frame_index[..., None, None, None] / period
+    target += pixel_phase
+    target += seg_phase[:, None, None, None, None]
+    return _pull_denoiser(np.sin(target, out=target), eta)

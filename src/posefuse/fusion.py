@@ -1,20 +1,22 @@
 """Segment planning and progressive latent fusion for long videos.
 
 A long clip of L frames is denoised as overlapping segments of N frames
-(consecutive segments share C frames). After every denoising step the
-overlapping copies are blended: at overlap position k (1-based) the
-incoming segment gets weight k/(C+1) and the outgoing segment the
-remainder, so each transition inside the overlap moves by at most
-1/(C+1) of the disagreement. All copies of a frame are assigned the
-same fused value, which keeps segments consistent going into the next
-step. Uniform fusion (plain averaging of all copies) and no fusion are
-kept alongside as ablation baselines.
+(consecutive segments share C frames). Every segment sits at the same
+noise level, so one denoiser call per step updates the whole segment
+stack. After every denoising step the overlapping copies are blended:
+at overlap position k (1-based) the incoming segment gets weight
+k/(C+1) and the outgoing segment the remainder, so each transition
+inside the overlap moves by at most 1/(C+1) of the disagreement. All
+copies of a frame are assigned the same fused value, which keeps
+segments consistent going into the next step. Uniform fusion (plain
+averaging of all copies) and no fusion are kept alongside as ablation
+baselines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +49,11 @@ class SegmentPlan:
     def segments(self) -> tuple[tuple[int, int], ...]:
         n = self.frames_per_segment
         return tuple((s, s + n) for s in self.starts)
+
+    @property
+    def frame_index(self) -> np.ndarray:
+        """(S, N) int array: the clip frame held at segment i, slot k."""
+        return np.add.outer(self.starts, np.arange(self.frames_per_segment))
 
     def segment(self, i: int) -> tuple[int, int]:
         return self.starts[i], self.starts[i] + self.frames_per_segment
@@ -258,7 +265,7 @@ def assemble(latents: Sequence[np.ndarray], plan: SegmentPlan) -> np.ndarray:
     return video
 
 
-StepCallback = Callable[[int, list[np.ndarray]], None]
+StepCallback = Callable[[int, np.ndarray], None]
 
 
 def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
@@ -270,44 +277,40 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
 
     Segment i starts from Gaussian noise drawn on its own seed stream.
     All segments live in one (S, N, C, H, W) stack of per-frame
-    ``latent_shape``; each step calls the denoiser once per segment on
-    that segment's slot, which the denoiser updates in place (it must
-    return None), and then fuses overlaps per mode in place using an
-    overlap table built once per call. ``cond.pose_features``, when
-    given, must hold ``plan.total_frames`` frames; each segment gets its
-    own slice.
-    ``on_step(t, latents)`` gets one array per segment after fusion;
-    they are views of the stack that later steps overwrite, so a
-    callback copies whatever it keeps. Steps count down from `steps` to
-    1.
+    ``latent_shape``, and every segment sits at the same noise level, so
+    each step makes one denoiser call on the whole stack, which the
+    denoiser updates in place (it must return None), and then fuses
+    overlaps per mode in place using an overlap table built once per
+    call. ``cond.pose_features``, when given, must hold
+    ``plan.total_frames`` frames; they are gathered once into the same
+    (S, N, ...) layout by ``plan.frame_index``.
+    ``on_step(t, stack)`` gets the stack after fusion; later steps
+    overwrite it, so a callback copies whatever it keeps. Steps count
+    down from `steps` to 1.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
-    base = cond if cond is not None else Condition()
-    pose = base.pose_features
+    pose = cond.pose_features if cond is not None else None
     if pose is not None and len(pose) != plan.total_frames:
         raise ValueError(f"pose_features hold {len(pose)} frames, expected "
                          f"total_frames={plan.total_frames}")
+    cond = Condition(None if pose is None else pose[plan.frame_index])
     shape = (plan.frames_per_segment,) + tuple(latent_shape)
 
-    conds = []
     stack = np.empty((len(plan),) + shape)
-    for i, (s, e) in enumerate(plan.segments):
-        conds.append(replace(base, frame_offset=s, segment_index=i,
-                             pose_features=None if pose is None else pose[s:e]))
+    for i in range(len(plan)):
         stream_rng(seed, i, 0).standard_normal(shape, out=stack[i])
     table = _overlap_table(plan)
 
     for t in range(steps, 0, -1):
-        for i in range(len(plan)):
-            if denoiser(stack[i], conds[i], t) is not None:
-                raise ValueError("a denoiser must update its latents in "
-                                 "place and return None")
+        if denoiser(stack, cond, t) is not None:
+            raise ValueError("a denoiser must update its latents in "
+                             "place and return None")
         _fuse_stack(stack, table, mode)
         if on_step is not None:
-            on_step(t, list(stack))
+            on_step(t, stack)
     return assemble(stack, plan)
 
 
@@ -320,7 +323,7 @@ def frame_difference_profile(video: np.ndarray) -> np.ndarray:
     return diffs.reshape(diffs.shape[0], -1).mean(axis=1)
 
 
-def boundary_transitions(plan: SegmentPlan) -> tuple[int, ...]:
+def _boundary_transitions(plan: SegmentPlan) -> tuple[int, ...]:
     """Frame-transition indices where segment seams can show.
 
     For each adjacent pair these are the transition into the overlap
@@ -339,7 +342,7 @@ def boundary_jump_metric(profile: np.ndarray, plan: SegmentPlan) -> float:
     """Worst seam-transition difference minus the typical interior one."""
     if len(profile) != plan.total_frames - 1:
         raise ValueError("profile length must be total_frames - 1")
-    marks = list(boundary_transitions(plan))
+    marks = list(_boundary_transitions(plan))
     if not marks:
         return 0.0
     interior = np.delete(profile, marks)

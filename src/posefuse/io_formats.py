@@ -67,13 +67,6 @@ def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.copy(), end
 
 
-def mmtl_decode(data: bytes) -> np.ndarray:
-    arr, end = mmtl_decode_at(data, 0)
-    if end != len(data):
-        raise FormatError(f"{len(data) - end} trailing bytes after MMTL payload")
-    return arr
-
-
 # Elements quantized per pass of image_to_u8: a 512 KiB float64 buffer
 # stays in cache across its multiply, round and clip.
 _QUANTIZE_CHUNK = 1 << 16

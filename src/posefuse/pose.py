@@ -110,9 +110,9 @@ def _finite_number(value, integer: bool) -> float | None:
 
 def parse_pose_sequence(data: bytes | str) -> PoseSequence:
     """Parse the keypoint interchange document into a PoseSequence."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
     except (ValueError, RecursionError) as e:
         raise PoseParseError(f"malformed pose document: {e}") from None

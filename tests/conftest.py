@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from posefuse.diffusion import AffineParams, affine_batch_loss
+from posefuse.io_formats import mmtl_decode_at
 from posefuse.pose import PoseFrame, PoseSequence, parse_pose_sequence
 from posefuse.skeleton import WHOLEBODY_133
 
@@ -105,6 +106,13 @@ def read_raster(data: bytes, height: int, width: int,
     assert len(data) == len(header) + height * width * channels
     shape = (height, width, channels) if channels == 3 else (height, width)
     return np.frombuffer(data, np.uint8, offset=len(header)).reshape(shape)
+
+
+def read_mmtl(blob: bytes) -> np.ndarray:
+    """The one MMTL tensor that makes up the whole of blob."""
+    arr, end = mmtl_decode_at(blob)
+    assert end == len(blob)
+    return arr
 
 
 # ---- numeric oracles -------------------------------------------------

@@ -83,7 +83,8 @@ def test_c02_overlap_consistency_every_step():
         phases = rng.uniform(0, 2 * math.pi, size=shape)
         frames = np.arange(36).reshape(-1, 1, 1, 1)
         target = np.sin(2 * math.pi * frames / 24.0 + phases)
-        den = make_toy_denoiser("smoother", target=target, eta=0.4)
+        den = make_toy_denoiser("smoother", target=target[plan.frame_index],
+                                eta=0.4)
         worst = 0.0
         steps_seen = []
 

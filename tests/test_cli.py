@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,9 +6,8 @@ import pytest
 
 from posefuse import cli
 from posefuse.cli import main
-from posefuse.io_formats import mmtl_decode
 
-from conftest import person_keypoints, pose_doc, read_raster
+from conftest import person_keypoints, pose_doc, read_mmtl, read_raster
 
 
 @pytest.fixture
@@ -147,7 +147,7 @@ def test_weight_map_outputs(tmp_path, pose_file):
     rc = main(["weight-map", "--poses", str(pose_file), "--frame", "0",
                "--out", str(out)])
     assert rc == 0
-    wm = mmtl_decode(out.read_bytes())
+    wm = read_mmtl(out.read_bytes())
     assert wm.shape == (64, 64)
     assert set(np.unique(wm)) == {1.0, 10.0}
     preview = read_raster(out.with_suffix(".pgm").read_bytes(), 64, 64, 1)
@@ -160,7 +160,7 @@ def test_weight_map_unit_gain_all_ones(tmp_path, pose_file):
     rc = main(["weight-map", "--poses", str(pose_file), "--frame", "0",
                "--w-hand", "1.0", "--out", str(out)])
     assert rc == 0
-    assert (mmtl_decode(out.read_bytes()) == 1.0).all()
+    assert (read_mmtl(out.read_bytes()) == 1.0).all()
 
 
 def test_weight_map_huge_source_canvas_returns_2(tmp_path, capsys):
@@ -226,7 +226,7 @@ def test_longvideo_outputs_and_determinism(tmp_path):
     assert main(["longvideo", "--config", str(cfg)]) == 0
     mode_dir = tmp_path / "out" / "progressive"
     first = (mode_dir / "latents.mmtl").read_bytes()
-    video = mmtl_decode((mode_dir / "latents.mmtl").read_bytes())
+    video = read_mmtl((mode_dir / "latents.mmtl").read_bytes())
     assert video.shape == (20, 2, 4, 4)
     assert (mode_dir / "plan.txt").read_text() == "20 8 3: 0,5,10,12\n"
     metrics = read_metrics(mode_dir / "metrics.txt")
@@ -256,7 +256,7 @@ def test_longvideo_analytic_gaussian_runs(tmp_path):
     cfg = write_config(tmp_path, denoiser="analytic_gaussian", mu=0.5,
                        sigma0=2.0)
     assert main(["longvideo", "--config", str(cfg)]) == 0
-    video = mmtl_decode(
+    video = read_mmtl(
         (tmp_path / "out" / "progressive" / "latents.mmtl").read_bytes())
     assert np.isfinite(video).all()
 
@@ -299,3 +299,73 @@ def test_longvideo_rejects_unknown_mode(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["longvideo", "--config", str(cfg), "--mode", "blend"])
     assert exc.value.code == 2
+
+
+# Recorded from the loop that called the denoiser once per segment; any
+# change to an output byte of either denoiser in any mode fails here.
+GOLDEN_SHA256 = {
+    "phase_smoother/progressive/latents.mmtl":
+        "38b8f9eb1066829487c85f816599a6911342fa7205a1f0481cc3a2a4a8b383bf",
+    "phase_smoother/progressive/plan.txt":
+        "5a555a14ad34c4be71cdffa65d6016e0213c870f76ee24a01b0cdb6fa26b265f",
+    "phase_smoother/progressive/profile.txt":
+        "2150d4d4ddd3a5b1ff3935b804da44b08f74c7cc66480072b6b97703b5cf0460",
+    "phase_smoother/progressive/metrics.txt":
+        "45ae724ec67c17848390ea32a89be2f12d2d9c46ec5e9ea439c519ad2d317e11",
+    "phase_smoother/uniform/latents.mmtl":
+        "ccb5a6c43eee4b5448e20b52db03e6321458d0e1ebe66e524e4ab8fa91eb3f3d",
+    "phase_smoother/uniform/plan.txt":
+        "5a555a14ad34c4be71cdffa65d6016e0213c870f76ee24a01b0cdb6fa26b265f",
+    "phase_smoother/uniform/profile.txt":
+        "14b85eb0079780f194573e4421b7f3e18f2c6a9d3b90f779fac8bb068f04b041",
+    "phase_smoother/uniform/metrics.txt":
+        "7b6b879d6772e164a79b03b618675506ed383095a0f46015c5312e9caa584185",
+    "phase_smoother/none/latents.mmtl":
+        "7c396ba2f7e959de01702886e5643aff54d9aa344e9b3d7ffcfcbe09f3ac03d3",
+    "phase_smoother/none/plan.txt":
+        "5a555a14ad34c4be71cdffa65d6016e0213c870f76ee24a01b0cdb6fa26b265f",
+    "phase_smoother/none/profile.txt":
+        "53c2b74856401595ddbb6e6f7c40fc7b5a9826f98503ebbbd66fa31f6aaa35a5",
+    "phase_smoother/none/metrics.txt":
+        "9b32e663aec37a7f88208ad070f50dc405411768832939b311d847360d194bda",
+    "analytic_gaussian/progressive/latents.mmtl":
+        "cff7c0e4180041ca7d1c53427febf4b42fe7bb8f4fd930a3d6848d2366d8c8d2",
+    "analytic_gaussian/progressive/plan.txt":
+        "5a555a14ad34c4be71cdffa65d6016e0213c870f76ee24a01b0cdb6fa26b265f",
+    "analytic_gaussian/progressive/profile.txt":
+        "3f398b19bb3628037889cfc43bcef390c034888c79a7f1739f3e65949d4c7ef5",
+    "analytic_gaussian/progressive/metrics.txt":
+        "03fbb5644513694502abd850c8ec2a65164331c27b037428e3dedf6965334437",
+    "analytic_gaussian/uniform/latents.mmtl":
+        "fac893ecea805655294b04fa2d55a3d2050ca850d6a800e34306e5a84668fc5e",
+    "analytic_gaussian/uniform/plan.txt":
+        "5a555a14ad34c4be71cdffa65d6016e0213c870f76ee24a01b0cdb6fa26b265f",
+    "analytic_gaussian/uniform/profile.txt":
+        "e9bd8200dd422a02c7b02a7012571d964425dc113582763483992a14ca359908",
+    "analytic_gaussian/uniform/metrics.txt":
+        "ac4b91bd3b311d9ee26a542df01c172bb8022a17a0e0ac75ddc43e1de096bb9d",
+    "analytic_gaussian/none/latents.mmtl":
+        "fc3f715995116c6a88796cc96734ce1ffd0f3f99483a52792b22d7c61f55d742",
+    "analytic_gaussian/none/plan.txt":
+        "5a555a14ad34c4be71cdffa65d6016e0213c870f76ee24a01b0cdb6fa26b265f",
+    "analytic_gaussian/none/profile.txt":
+        "b03648a002844a5091d3428da6a23614686826f71dbfe6cec65844a55f08e6d0",
+    "analytic_gaussian/none/metrics.txt":
+        "124f56bed19a62cfe38767d009e929991d00756df7342f17e4688fe65826627e",
+}
+
+
+def test_longvideo_golden_hashes(tmp_path):
+    got = {}
+    for denoiser in ("phase_smoother", "analytic_gaussian"):
+        cfg = write_config(tmp_path, denoiser=denoiser,
+                           out_dir=str(tmp_path / denoiser))
+        for mode in ("progressive", "uniform", "none"):
+            assert main(["longvideo", "--config", str(cfg),
+                         "--mode", mode]) == 0
+            for name in ("latents.mmtl", "plan.txt", "profile.txt",
+                         "metrics.txt"):
+                blob = (tmp_path / denoiser / mode / name).read_bytes()
+                got[f"{denoiser}/{mode}/{name}"] = \
+                    hashlib.sha256(blob).hexdigest()
+    assert got == GOLDEN_SHA256

@@ -7,6 +7,7 @@ from posefuse.diffusion import (AffineParams, Condition, NoiseSchedule,
                                 karras_sigma_sample, linear_beta_schedule,
                                 loss_grad_linear, make_toy_denoiser,
                                 train_toy_denoiser, weighted_eps_loss)
+from posefuse.fusion import plan_segments
 from posefuse.regions import LossWeightMap
 
 from conftest import affine_wls_optimum, finite_difference_grad
@@ -349,11 +350,11 @@ def test_smoother_eta_one_returns_target():
 def test_smoother_in_place_matches_expression_bitwise():
     # 3 * 5 * 71 * 67 elements: more than one chunk, and a partial last one
     rng = np.random.default_rng(4)
-    target = rng.normal(size=(9, 5, 71, 67))
+    target = rng.normal(size=(3, 5, 71, 67))
     den = make_toy_denoiser("smoother", target=target, eta=0.35)
     z = rng.normal(size=(3, 5, 71, 67))
-    expect = z + 0.35 * (target[2:5] - z)
-    den(z, Condition(frame_offset=2), 1)
+    expect = z + 0.35 * (target - z)
+    den(z, Condition(), 1)
     assert z.tobytes() == expect.tobytes()
 
 
@@ -366,11 +367,17 @@ def test_smoother_midpoint():
 
 
 def test_smoother_uses_frame_offset():
+    # a trajectory gathered by plan.frame_index fills each segment's slots
+    # with its own frames, from the segment's start offset on
+    plan = plan_segments(8, 4, 2)
     target = np.arange(8, dtype=float).reshape(8, 1, 1, 1)
-    den = make_toy_denoiser("smoother", target=target, eta=1.0)
-    z = np.zeros((3, 1, 1, 1))
-    den(z, Condition(frame_offset=4), 1)
-    np.testing.assert_array_equal(z.ravel(), [4.0, 5.0, 6.0])
+    den = make_toy_denoiser("smoother", target=target[plan.frame_index],
+                            eta=1.0)
+    z = np.zeros((3, 4, 1, 1, 1))
+    den(z, Condition(), 1)
+    np.testing.assert_array_equal(z.reshape(3, 4), [[0.0, 1.0, 2.0, 3.0],
+                                                    [2.0, 3.0, 4.0, 5.0],
+                                                    [4.0, 5.0, 6.0, 7.0]])
 
 
 def test_smoother_shape_mismatch():

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from posefuse import fusion
 from posefuse.diffusion import (Condition, make_phase_instance,
                                 make_toy_denoiser)
-from posefuse.fusion import (FUSION_MODES, SegmentPlan, assemble,
-                             boundary_jump_metric, boundary_transitions,
-                             format_plan, frame_difference_profile,
-                             fuse_segments, overlap_weights, plan_segments,
-                             run_long_denoise)
+from posefuse.fusion import (FUSION_MODES, SegmentPlan, _boundary_transitions,
+                             assemble, boundary_jump_metric, format_plan,
+                             frame_difference_profile, fuse_segments,
+                             overlap_weights, plan_segments, run_long_denoise)
 from posefuse.seeding import stream_rng
 
 
@@ -360,18 +359,23 @@ def test_run_long_denoise_deterministic():
 
 
 def test_run_long_denoise_slices_pose_features():
+    # one call per step on the whole stack, with every frame's own pose
+    # features in its segment slot
     plan = plan_segments(36, 16, 6)
-    offsets = []
+    pose = np.arange(36 * 4, dtype=float).reshape(36, 1, 2, 2)
+    calls = []
 
     def spy(z, cond, t):
-        offsets.append((cond.segment_index, cond.frame_offset,
-                        None if cond.pose_features is None
-                        else len(cond.pose_features)))
+        calls.append((t, z.shape, cond.pose_features.copy()))
 
-    cond = Condition(pose_features=np.zeros((36, 1, 2, 2)))
-    run_long_denoise(spy, cond, plan, 1, "none", seed=0,
-                     latent_shape=(1, 2, 2))
-    assert offsets == [(0, 0, 16), (1, 10, 16), (2, 20, 16)]
+    run_long_denoise(spy, Condition(pose_features=pose), plan, 3, "none",
+                     seed=0, latent_shape=(1, 2, 2))
+    assert [t for t, _shape, _feats in calls] == [3, 2, 1]
+    for _t, shape, feats in calls:
+        assert shape == (3, 16, 1, 2, 2)
+        assert feats.shape == (3, 16, 1, 2, 2)
+        for i, (s, e) in enumerate(plan.segments):
+            np.testing.assert_array_equal(feats[i], pose[s:e])
 
 
 def test_run_long_denoise_rejects_pose_features_of_other_length():
@@ -413,9 +417,8 @@ def test_run_long_denoise_step_allocates_less_than_one_segment():
                              latent_shape=shape, on_step=measure)
         finally:
             tracemalloc.stop()
-        # step 1 also builds the stack and the cached phase targets
         assert len(transient) == 4
-        assert max(transient[1:]) < segment_bytes, (mode, transient)
+        assert max(transient) < segment_bytes, (mode, transient)
 
 
 def test_run_long_denoise_validation():
@@ -457,7 +460,7 @@ def test_profile_needs_two_frames():
 def test_boundary_transitions_marks():
     plan = plan_segments(36, 16, 6)
     # pair (0,1): start 10 -> 9, end 16 -> 15; pair (1,2): 19 and 25
-    assert boundary_transitions(plan) == (9, 15, 19, 25)
+    assert _boundary_transitions(plan) == (9, 15, 19, 25)
 
 
 def test_boundary_metric_single_segment_zero():
@@ -536,25 +539,23 @@ def test_phase_instance_closed_form_per_segment():
     seg_phase = stream_rng(seed, 102).uniform(-jitter, jitter, size=len(plan))
     rng = np.random.default_rng(0)
     for t in (25, 7, 1, 25):
+        z = rng.normal(size=(len(plan), 16) + shape)
+        expect = np.empty_like(z)
         for i, (s, _e) in enumerate(plan.segments):
-            z = rng.normal(size=(16,) + shape)
             frames = s + np.arange(16)
             angle = (2.0 * math.pi * frames[:, None, None, None] / period
                      + pixel_phase + seg_phase[i])
-            expect = z + eta * (np.sin(angle) - z)
-            assert den(z, Condition(frame_offset=s, segment_index=i),
-                       t) is None
-            assert z.tobytes() == expect.tobytes()
+            expect[i] = z[i] + eta * (np.sin(angle) - z[i])
+        assert den(z, Condition(), t) is None
+        assert z.tobytes() == expect.tobytes()
 
-    def pulled(offset, index, t):
-        z = np.zeros((16,) + shape)
-        den(z, Condition(frame_offset=offset, segment_index=index), t)
-        return z
+    def pulled(t):
+        z = np.zeros((len(plan), 16) + shape)
+        den(z, Condition(), t)
+        return z.tobytes()
 
-    # same offset, other segment index: a different target, not a cache hit
-    a, b, c = pulled(10, 1, 3), pulled(10, 2, 3), pulled(20, 1, 3)
-    assert not np.array_equal(a, b) and not np.array_equal(a, c)
-    assert a.tobytes() == pulled(10, 1, 9).tobytes()
+    # the target does not depend on the step
+    assert pulled(25) == pulled(9) == pulled(1)
 
 
 def test_smoother_toy_denoiser_in_loop():
@@ -564,7 +565,8 @@ def test_smoother_toy_denoiser_in_loop():
     frames = np.arange(36).reshape(-1, 1, 1, 1)
     target = np.broadcast_to(np.sin(2 * np.pi * frames / 30.0),
                              (36,) + shape).copy()
-    den = make_toy_denoiser("smoother", target=target, eta=0.5)
+    den = make_toy_denoiser("smoother", target=target[plan.frame_index],
+                            eta=0.5)
     video = run_long_denoise(den, None, plan, 50, "progressive", seed=0,
                              latent_shape=shape)
     np.testing.assert_allclose(video, target, atol=1e-9)

@@ -82,6 +82,13 @@ def test_parse_rejects_malformed_document():
             parse_pose_sequence(json.dumps(doc))
 
 
+def test_parse_rejects_non_utf8_bytes():
+    # a UTF-16 byte-order mark, and a lone Latin-1 byte inside a string
+    for blob in (b"\xff\xfe", b'{"layout": "caf\xe9"}'):
+        with pytest.raises(PoseParseError, match="malformed pose document"):
+            parse_pose_sequence(blob)
+
+
 def test_parse_rejects_nonfinite():
     kp = person_keypoints()
     kp[0, 0] = float("nan")
