@@ -1,11 +1,12 @@
 """Command-line entry points.
 
-Three subcommands cover the runnable experiments: ``render-pose`` turns
-a pose file into per-frame PPM guidance images, ``weight-map`` exports
-one frame's hand-region loss weights (MMTL plus a PGM preview), and
-``longvideo`` runs the segmented denoise-and-fuse loop on a synthetic
-workload and reports seam metrics. All outputs are byte-deterministic
-for a given command line and seed.
+Three subcommands cover the runnable experiments: ``render-pose`` draws
+a pose file straight into per-frame uint8 PPM guidance images
+(``render_frame_u8``), ``weight-map`` exports one frame's hand-region
+loss weights (MMTL plus a PGM preview), and ``longvideo`` runs the
+segmented denoise-and-fuse loop on a synthetic workload and reports
+seam metrics. All outputs are byte-deterministic for a given command
+line and seed.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .diffusion import (linear_beta_schedule, make_phase_instance,
 from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
                      frame_difference_profile, plan_segments,
                      run_long_denoise)
-from .io_formats import (FormatError, image_to_u8, mmtl_encode, pgm_encode,
-                         ppm_encode, weight_map_preview)
+from .io_formats import (FormatError, mmtl_encode, pgm_encode, ppm_encode,
+                         weight_map_preview)
 from .pose import PoseParseError, parse_pose_sequence
 from .regions import build_weight_map
-from .render import CONFIDENCE_MODES, RenderStyle, render_frame
+from .render import CONFIDENCE_MODES, RenderStyle, render_frame_u8
 from .skeleton import LayoutError
 
 
@@ -39,10 +40,10 @@ def _cmd_render_pose(args: argparse.Namespace) -> int:
     style = RenderStyle(confidence_mode=args.mode, threshold=args.tau)
     out = Path(args.out)
     for i, frame in enumerate(seq.frames):
-        gm = render_frame(frame, style, args.width, args.height)
-        if i == 0:  # a canvas render_frame rejects leaves no directory
+        image = render_frame_u8(frame, style, args.width, args.height)
+        if i == 0:  # a canvas render_frame_u8 rejects leaves no directory
             out.mkdir(parents=True, exist_ok=True)
-        (out / f"frame_{i:05d}.ppm").write_bytes(ppm_encode(image_to_u8(gm.data)))
+        (out / f"frame_{i:05d}.ppm").write_bytes(ppm_encode(image))
     return 0
 
 

@@ -37,7 +37,7 @@ def mmtl_encode(arr: np.ndarray) -> bytes:
         raise FormatError(f"dims out of range: {a.shape}")
     header = MMTL_MAGIC + bytes([MMTL_VERSION, MMTL_DTYPE_F32, a.ndim])
     header += struct.pack(f"<{a.ndim}I", *a.shape)
-    return header + a.tobytes()
+    return b"".join((header, a.data))
 
 
 def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -67,37 +67,13 @@ def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.copy(), end
 
 
-# Elements quantized per pass of image_to_u8: a 512 KiB float64 buffer
-# stays in cache across its multiply, round and clip.
-_QUANTIZE_CHUNK = 1 << 16
-
-
-def image_to_u8(img: np.ndarray) -> np.ndarray:
-    """Quantize float values in [0, 1] to bytes via round(255 * v).
-
-    The same multiply, round and clip as ``clip(rint(255 * v), 0, 255)``,
-    run chunk by chunk in one small reused buffer; the input is never
-    written to.
-    """
-    a = np.asarray(img)
-    flat = a.reshape(-1)
-    out = np.empty(flat.shape, np.uint8)
-    buf = np.empty(min(flat.size, _QUANTIZE_CHUNK), np.result_type(a, 255.0))
-    for s in range(0, flat.size, _QUANTIZE_CHUNK):
-        b = buf[:min(_QUANTIZE_CHUNK, flat.size - s)]
-        np.multiply(flat[s:s + b.size], 255.0, out=b)
-        np.rint(b, out=b)
-        np.clip(b, 0, 255, out=b)
-        out[s:s + b.size] = b
-    return out.reshape(a.shape)
-
-
 def ppm_encode(rgb_u8: np.ndarray) -> bytes:
     a = np.asarray(rgb_u8)
     if a.ndim != 3 or a.shape[2] != 3 or a.dtype != np.uint8:
         raise FormatError(f"PPM wants uint8 (H, W, 3), got {a.dtype} {a.shape}")
     h, w = a.shape[:2]
-    return f"P6\n{w} {h}\n255\n".encode("ascii") + a.tobytes()
+    return b"".join((f"P6\n{w} {h}\n255\n".encode("ascii"),
+                     np.ascontiguousarray(a).data))
 
 
 def pgm_encode(gray_u8: np.ndarray) -> bytes:
@@ -105,7 +81,8 @@ def pgm_encode(gray_u8: np.ndarray) -> bytes:
     if a.ndim != 2 or a.dtype != np.uint8:
         raise FormatError(f"PGM wants uint8 (H, W), got {a.dtype} {a.shape}")
     h, w = a.shape
-    return f"P5\n{w} {h}\n255\n".encode("ascii") + a.tobytes()
+    return b"".join((f"P5\n{w} {h}\n255\n".encode("ascii"),
+                     np.ascontiguousarray(a).data))
 
 
 def weight_map_preview(weights: np.ndarray) -> np.ndarray:

@@ -14,12 +14,13 @@ capsule coverage test runs elementwise over all of them, and covered
 pixels composite into the canvas with one ``np.maximum.at`` per batch.
 The test is the same float expression a per-stroke loop evaluates, and
 max is exact and order-free, so batching does not change a single
-output bit.
+output bit. ``render_frame_u8`` draws the same strokes in quantized colors
+straight into the uint8 image that ``render-pose`` writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +44,10 @@ class RenderStyle:
     threshold: float = 0.3
 
     def __post_init__(self):
-        if self.keypoint_radius < 1 or self.limb_thickness < 1:
-            raise ValueError("keypoint_radius and limb_thickness must be >= 1 px")
+        if not all(1 <= v < np.inf  # NaN fails too
+                   for v in (self.keypoint_radius, self.limb_thickness)):
+            raise ValueError("keypoint_radius and limb_thickness must be "
+                             "finite and >= 1 px")
         if self.confidence_mode not in CONFIDENCE_MODES:
             raise ValueError(f"unknown confidence_mode {self.confidence_mode!r}")
         if not 0.0 <= self.threshold <= 1.0:
@@ -56,13 +59,11 @@ class GuidanceMap:
     width: int
     height: int
     data: np.ndarray = field(repr=False)  # (H, W, 3) floats in [0, 1]
-    # render_frame's output lies in [0, 1] by construction; it skips the scan
-    _in_range: InitVar[bool] = False
 
-    def __post_init__(self, _in_range: bool):
+    def __post_init__(self):
         if self.data.shape != (self.height, self.width, 3):
             raise ValueError("guidance data must be (H, W, 3)")
-        if not _in_range and (self.data.min() < 0.0 or self.data.max() > 1.0):
+        if self.data.min() < 0.0 or self.data.max() > 1.0:
             raise ValueError("guidance values must lie in [0, 1]")
         self.data.setflags(write=False)
 
@@ -152,9 +153,9 @@ def _drawn(conf: np.ndarray, colors: np.ndarray, style: RenderStyle):
     return keep, colors[keep] * conf[keep, None]
 
 
-def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
-                 height: int) -> GuidanceMap:
-    """Draw one pose frame onto a black canvas of the given size."""
+def _rasterize(frame: PoseFrame, style: RenderStyle, width: int, height: int,
+               color=lambda values: values) -> np.ndarray:
+    """Draw one frame on a black canvas of the dtype ``color`` maps to."""
     if width < 8 or height < 8:
         raise ValueError("canvas must be at least 8x8 pixels")
     if height * width * 3 > MAX_ELEMENTS:
@@ -172,9 +173,10 @@ def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
     limb_keep, limb_values = _drawn(np.minimum(conf[a], conf[b]),
                                     layout.edge_colors, style)
     kp_keep, kp_values = _drawn(conf, layout.keypoint_colors, style)
+    limb_values, kp_values = color(limb_values), color(kp_values)
     a, b = a[limb_keep], b[limb_keep]
 
-    canvas = np.zeros(height * width * 3)
+    canvas = np.zeros(height * width * 3, dtype=kp_values.dtype)
     # Far-off-canvas keypoints are valid input. Their squared lengths
     # may overflow to inf (and a test to NaN, which covers nothing)
     # exactly as in a per-stroke loop; the warnings would only be noise.
@@ -193,5 +195,25 @@ def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
                      np.concatenate([np.full(dot.sum(), half),
                                      np.full(kp_keep.sum(), radius)]),
                      np.concatenate([limb_values[dot], kp_values]))
-    return GuidanceMap(width, height, canvas.reshape(height, width, 3),
-                       _in_range=True)
+    return canvas.reshape(height, width, 3)
+
+
+def render_frame(frame: PoseFrame, style: RenderStyle, width: int,
+                 height: int) -> GuidanceMap:
+    """Draw one pose frame onto a black canvas of the given size."""
+    return GuidanceMap(width, height, _rasterize(frame, style, width, height))
+
+
+def render_frame_u8(frame: PoseFrame, style: RenderStyle, width: int,
+                    height: int) -> np.ndarray:
+    """``render_frame``'s values quantized as q(v) = clip(rint(255 v), 0,
+    255), in a read-only (H, W, 3) uint8 image drawn without a float canvas.
+
+    Only the stroke colors are quantized. As q never decreases as v grows
+    and q(0) = 0, a pixel's q(max(0, v_1, ..., v_n)) over the finite
+    stroke values covering it is max(0, q(v_1), ..., q(v_n)).
+    """
+    image = _rasterize(frame, style, width, height, lambda v: np.clip(
+        np.rint(v * 255.0), 0, 255).astype(np.uint8))
+    image.setflags(write=False)
+    return image

@@ -72,6 +72,44 @@ def test_render_pose_threshold_mode_dispatch(tmp_path):
     assert images["threshold"].max() > images["scaled"].max()
 
 
+# Recorded from the renderer that drew float canvases and quantized them
+# in a separate pass; any change to an output byte fails here.
+RENDER_POSE_SHA256 = {
+    "scaled/96x128":
+        "0a5d97d4266683d16bb02dfc4b111bd2b4e037c0442f4d05ddc35a4fe4808d89",
+    "scaled/576x1024":
+        "ae824ebddd5b9d1e92475e196c4a6e138f80431dbb54bb5d1588aa8c24f839d8",
+    "threshold/96x128":
+        "bf2a76f43af4713885e827b576589a58ab816234baeddfd8de7bf1229726c3c4",
+    "threshold/576x1024":
+        "6c6983f50c0c5591c2b2f4dc7f4e818f1c9106131f36fcfa1a7845616285b6af",
+}
+
+
+def test_render_pose_golden_hashes(tmp_path):
+    frames = []
+    for f in range(3):
+        kp = person_keypoints()
+        kp[:, 0] += 0.01 * f
+        # 0.0, 1.0 and the 0.3 cutoff all occur among the confidences
+        kp[:, 2] = (np.arange(133) * 37 + 11 * f) % 101 / 100
+        frames.append(kp)
+    poses = tmp_path / "poses.json"
+    poses.write_bytes(pose_doc(frames))
+    got = {}
+    for mode in ("scaled", "threshold"):
+        for width, height in ((96, 128), (576, 1024)):
+            out = tmp_path / f"{mode}-{width}x{height}"
+            assert main(["render-pose", "--poses", str(poses), "--out",
+                         str(out), "--width", str(width), "--height",
+                         str(height), "--mode", mode]) == 0
+            digest = hashlib.sha256()
+            for i in range(len(frames)):
+                digest.update((out / f"frame_{i:05d}.ppm").read_bytes())
+            got[f"{mode}/{width}x{height}"] = digest.hexdigest()
+    assert got == RENDER_POSE_SHA256
+
+
 def test_render_pose_missing_arg_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["render-pose", "--out", str(tmp_path / "x"),
@@ -133,7 +171,7 @@ def test_render_pose_huge_canvas_returns_2(tmp_path, pose_file, capsys):
 def test_memory_error_returns_2(tmp_path, pose_file, capsys, monkeypatch):
     def exhausted(*_args):
         raise MemoryError("Unable to allocate 213. PiB")
-    monkeypatch.setattr(cli, "render_frame", exhausted)
+    monkeypatch.setattr(cli, "render_frame_u8", exhausted)
     rc = main(["render-pose", "--poses", str(pose_file), "--out",
                str(tmp_path / "frames"), "--width", "48", "--height", "48"])
     assert rc == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from posefuse.io_formats import (FormatError, image_to_u8, load_posenet_weights,
+from posefuse.io_formats import (FormatError, load_posenet_weights,
                                  mmtl_decode_at, mmtl_encode, pgm_encode,
                                  posenet_weights_bytes,
                                  posenet_weights_from_bytes, ppm_encode,
@@ -20,6 +20,7 @@ from conftest import read_mmtl
 # ---- MMTL --------------------------------------------------------------
 
 MMTL_HEADER_4D = b"MMTL" + bytes([1, 1, 4])
+MMTL_HEADER_3D = b"MMTL" + bytes([1, 1, 3])
 
 
 def test_mmtl_known_bytes():
@@ -168,49 +169,25 @@ def test_encoder_validation():
         pgm_encode(np.zeros((2, 3, 1), dtype=np.uint8))
 
 
-def test_image_to_u8_rounding_and_clipping():
-    img = np.array([0.0, 1.0, 0.5, -0.2, 1.7])
-    out = image_to_u8(img)
-    assert out.dtype == np.uint8
-    np.testing.assert_array_equal(out, [0, 255, 128, 0, 255])
-
-
-def _one_line_image_to_u8(img):
-    return np.clip(np.rint(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
-
-
-@settings(max_examples=80, deadline=None)
-@given(img=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3),
-                      elements=st.one_of(
-                          st.floats(-3.0, 4.0),
-                          # exact .5/255 rounding ties and their neighbours
-                          st.integers(0, 254).map(lambda k: (k + 0.5) / 255),
-                          st.integers(0, 254).map(
-                              lambda k: np.nextafter((k + 0.5) / 255, 2.0)))))
-def test_image_to_u8_matches_one_line_quantizer(img):
-    img.setflags(write=False)
-    before = img.tobytes()
-    out = image_to_u8(img)
-    expect = _one_line_image_to_u8(img)
-    assert out.dtype == np.uint8 and out.shape == img.shape
-    assert out.tobytes() == expect.tobytes()
-    assert img.tobytes() == before
-
-
-def test_image_to_u8_matches_one_line_quantizer_across_chunks():
-    # a 576x1024 frame spans many quantizer chunks; values include
-    # out-of-range ones and exact ties at every chunk boundary
+def test_encoders_match_tobytes_on_non_contiguous_input():
+    # the encoders write the array's C-order bytes, as a.tobytes() does
     rng = np.random.default_rng(5)
-    img = rng.uniform(-0.5, 1.5, size=(1024, 576, 3))
-    flat = img.reshape(-1)
-    flat[::1 << 12] = (rng.integers(0, 255, flat[::1 << 12].size) + 0.5) / 255
-    img.setflags(write=False)
-    before = img.tobytes()
-    assert image_to_u8(img).tobytes() == _one_line_image_to_u8(img).tobytes()
-    assert img.tobytes() == before
-    transposed = img.transpose(1, 0, 2)  # non-contiguous input
-    assert image_to_u8(transposed).tobytes() == \
-        _one_line_image_to_u8(transposed).tobytes()
+    rgb = rng.integers(0, 256, size=(7, 5, 3), dtype=np.uint8)
+    for a in (rgb.transpose(1, 0, 2), rgb[::2, ::-1]):
+        assert not a.flags.c_contiguous
+        h, w = a.shape[:2]
+        assert ppm_encode(a) == f"P6\n{w} {h}\n255\n".encode() + a.tobytes()
+    for a in (rgb[:, :, 0].T, rgb[::-1, ::2, 1]):
+        assert not a.flags.c_contiguous
+        h, w = a.shape
+        assert pgm_encode(a) == f"P5\n{w} {h}\n255\n".encode() + a.tobytes()
+    latent = rng.standard_normal((3, 4, 6))
+    for a in (latent.transpose(2, 0, 1), latent[:, ::-1, ::2]):
+        assert not a.flags.c_contiguous
+        f32 = a.astype("<f4")
+        expect = (MMTL_HEADER_3D + struct.pack("<3I", *a.shape)
+                  + f32.tobytes())
+        assert mmtl_encode(a) == expect
 
 
 def test_weight_map_preview_levels():

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from posefuse import render
 from posefuse.pose import PoseFrame
 from posefuse.render import (MAX_ELEMENTS, REFERENCE_HEIGHT, GuidanceMap,
-                             RenderStyle, render_frame)
+                             RenderStyle, render_frame, render_frame_u8)
 from posefuse.skeleton import WHOLEBODY_133
 
 from conftest import norm_frame, person_keypoints, person_sequence
@@ -32,18 +32,22 @@ def test_output_shape_and_range(person_frame):
 
 
 def test_canvas_minimum_size(person_frame):
-    with pytest.raises(ValueError):
-        render_frame(person_frame, RenderStyle(), 4, 64)
-    render_frame(person_frame, RenderStyle(), 8, 8)  # boundary accepted
+    for render_fn in (render_frame, render_frame_u8):
+        with pytest.raises(ValueError, match="at least 8x8"):
+            render_fn(person_frame, RenderStyle(), 4, 64)
+        render_fn(person_frame, RenderStyle(), 8, 8)  # boundary accepted
 
 
 def test_canvas_cap_checked_before_allocation(person_frame, monkeypatch):
-    with pytest.raises(ValueError, match=f"exceeds {MAX_ELEMENTS} elements"):
-        render_frame(person_frame, RenderStyle(), 10 ** 8, 10 ** 8)
+    for render_fn in (render_frame, render_frame_u8):
+        with pytest.raises(ValueError,
+                           match=f"exceeds {MAX_ELEMENTS} elements"):
+            render_fn(person_frame, RenderStyle(), 10 ** 8, 10 ** 8)
     monkeypatch.setattr(render, "MAX_ELEMENTS", 8 * 8 * 3)
-    render_frame(person_frame, RenderStyle(), 8, 8)  # exactly the cap
-    with pytest.raises(ValueError, match="exceeds 192 elements"):
-        render_frame(person_frame, RenderStyle(), 9, 8)
+    for render_fn in (render_frame, render_frame_u8):
+        render_fn(person_frame, RenderStyle(), 8, 8)  # exactly the cap
+        with pytest.raises(ValueError, match="exceeds 192 elements"):
+            render_fn(person_frame, RenderStyle(), 9, 8)
 
 
 def test_guidance_map_checks_outside_arrays():
@@ -65,6 +69,14 @@ def test_style_validation():
         RenderStyle(confidence_mode="fuzzy")
     with pytest.raises(ValueError):
         RenderStyle(threshold=1.5)
+
+
+@pytest.mark.parametrize("size", [np.nan, np.inf])
+@pytest.mark.parametrize("key", ["keypoint_radius", "limb_thickness"])
+def test_style_validation_rejects_non_finite_size(key, size):
+    # NaN would draw as 1 px; inf would cover the whole canvas per stroke
+    with pytest.raises(ValueError, match="finite"):
+        RenderStyle(**{key: size})
 
 
 def test_zero_confidence_leaves_background():
@@ -309,6 +321,55 @@ def test_render_matches_per_stroke_reference(frame, width, height, mode,
     assert gm.data.tobytes() == expect.tobytes()
 
 
+def quantize(img):
+    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame=hostile_frames(),
+       width=st.integers(8, 320), height=st.integers(8, 320),
+       mode=st.sampled_from(("scaled", "threshold")),
+       threshold=st.sampled_from((0.0, 0.3, 0.5, 1.0)),
+       keypoint_radius=st.floats(1.0, 12.0),
+       limb_thickness=st.floats(1.0, 12.0))
+def test_render_u8_matches_quantized_reference(frame, width, height, mode,
+                                               threshold, keypoint_radius,
+                                               limb_thickness):
+    style = RenderStyle(keypoint_radius=keypoint_radius,
+                        limb_thickness=limb_thickness, confidence_mode=mode,
+                        threshold=threshold)
+    expect = quantize(reference_render(frame, style, width, height))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # far-off points render quietly
+        image = render_frame_u8(frame, style, width, height)
+    assert image.dtype == np.uint8 and image.shape == (height, width, 3)
+    assert not image.flags.writeable
+    assert image.tobytes() == expect.tobytes()
+
+
+def test_render_u8_rounding_ties():
+    # keypoint 0 is drawn in (1, 0, 0), so its first channel is its
+    # confidence: exact (k + 0.5) / 255 ties and their neighbours, with
+    # overlapping discs of other confidences on top
+    ties = (np.arange(255) + 0.5) / 255
+    confs = np.concatenate([ties, np.nextafter(ties, 0.0),
+                            np.nextafter(ties, 1.0)])
+    assert WHOLEBODY_133.keypoint_colors[0, 0] == 1.0
+    for c in confs:
+        kp = np.zeros((133, 3))
+        kp[:, :2] = -10.0
+        kp[0] = (0.5, 0.5, c)
+        kp[3] = (0.55, 0.5, 1.0 - c)  # (1, 1, 0): overlaps the first disc
+        frame = norm_frame(kp)
+        image = render_frame_u8(frame, RenderStyle(keypoint_radius=40.0),
+                                32, 32)
+        expect = quantize(render_frame(frame, RenderStyle(keypoint_radius=40.0),
+                                       32, 32).data)
+        assert image.tobytes() == expect.tobytes()
+        # a pixel inside the first disc only
+        assert image[16, 14, 0] == np.clip(np.rint(c * 255.0), 0, 255)
+
+
 def test_render_matches_reference_on_person_sizes():
     seq = person_sequence(3)
     for frame in seq.frames:
@@ -318,6 +379,8 @@ def test_render_matches_reference_on_person_sizes():
                 gm = render_frame(frame, style, width, height)
                 expect = reference_render(frame, style, width, height)
                 assert gm.data.tobytes() == expect.tobytes()
+                assert render_frame_u8(frame, style, width, height).tobytes() \
+                    == quantize(expect).tobytes()
     # rendering again gives the same bytes; drifted frames differ
     first, second = (render_frame(f, RenderStyle(), 96, 128).data.tobytes()
                      for f in seq.frames[:2])
