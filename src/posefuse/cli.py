@@ -88,9 +88,10 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     profile = frame_difference_profile(video)
     jump = boundary_jump_metric(profile, plan)
 
+    latents = mmtl_encode(video)  # latents past float32 leave no directory
     out = Path(cfg.out_dir) / mode
     out.mkdir(parents=True, exist_ok=True)
-    (out / "latents.mmtl").write_bytes(mmtl_encode(video))
+    (out / "latents.mmtl").write_bytes(latents)
     (out / "plan.txt").write_text(format_plan(plan) + "\n", encoding="ascii")
     (out / "profile.txt").write_text(
         "".join(f"{repr(float(d))}\n" for d in profile), encoding="ascii")

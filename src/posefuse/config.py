@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fusion import FUSION_MODES
+from .fusion import FUSION_MODES, _segment_count
 from .pose import _finite_number
 from .render import MAX_ELEMENTS
 
@@ -94,12 +94,12 @@ def _validate(cfg: RunConfig) -> None:
     need(0 <= cfg.seed < 2 ** 64, "seed must fit in 64 bits")
     need(cfg.latent_channels >= 1 and cfg.latent_height >= 1
          and cfg.latent_width >= 1, "latent dims must be >= 1")
-    # the segment stack run_long_denoise allocates: plan_segments' count
-    # of segments, each min(total_frames, segment_length) frames long
-    n, stride = cfg.segment_length, cfg.segment_length - cfg.context_overlap
-    segments = 1 + max(0, -(-(cfg.total_frames - n) // stride))
-    need(segments * min(cfg.total_frames, n) * cfg.latent_channels
-         * cfg.latent_height * cfg.latent_width <= MAX_ELEMENTS,
+    # the segment stack run_long_denoise allocates
+    segments = _segment_count(cfg.total_frames, cfg.segment_length,
+                              cfg.context_overlap)
+    need(segments * min(cfg.total_frames, cfg.segment_length)
+         * cfg.latent_channels * cfg.latent_height * cfg.latent_width
+         <= MAX_ELEMENTS,
          f"segment latents exceed {MAX_ELEMENTS} elements")
     need(cfg.denoiser in DENOISER_KINDS,
          f"denoiser must be one of {DENOISER_KINDS}")

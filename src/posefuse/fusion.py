@@ -1,16 +1,17 @@
 """Segment planning and progressive latent fusion for long videos.
 
 A long clip of L frames is denoised as overlapping segments of N frames
-(consecutive segments share C frames). Every segment sits at the same
-noise level, so one denoiser call per step updates the whole segment
-stack. After every denoising step the overlapping copies are blended:
-at overlap position k (1-based) the incoming segment gets weight
-k/(C+1) and the outgoing segment the remainder, so each transition
-inside the overlap moves by at most 1/(C+1) of the disagreement. All
-copies of a frame are assigned the same fused value, which keeps
-segments consistent going into the next step. Uniform fusion (plain
-averaging of all copies) and no fusion are kept alongside as ablation
-baselines.
+(consecutive segments share at least C frames). The segments holding a
+frame form one contiguous run, and every overlap index is computed from
+these holder ranges in closed form. Every segment sits at the same noise
+level, so one denoiser call per step updates the whole segment stack.
+After every denoising step the overlapping copies are blended: at
+overlap position k (1-based) the incoming segment gets weight k/(C+1)
+and the outgoing segment the remainder, so each transition inside the
+overlap moves by at most 1/(C+1) of the disagreement. All copies of a
+frame get the same fused value, which keeps segments consistent going
+into the next step. Uniform fusion (plain averaging of all copies) and
+no fusion are kept alongside as ablation baselines.
 """
 
 from __future__ import annotations
@@ -29,21 +30,20 @@ FUSION_MODES = ("progressive", "uniform", "none")
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Half-open frame ranges [start, start + N) covering [0, L).
+    """Half-open frame ranges [start, start + n) covering [0, L).
 
-    When the clip is shorter than one segment the plan degrades to a
-    single truncated segment [0, L), flagged so callers can tell.
+    Every segment holds n = min(L, N) frames, so a clip shorter than one
+    segment degrades to the single segment [0, L).
     """
 
     total_frames: int
     segment_length: int
     context_overlap: int
     starts: tuple[int, ...]
-    truncated: bool = False
 
     @property
     def frames_per_segment(self) -> int:
-        return self.total_frames if self.truncated else self.segment_length
+        return min(self.total_frames, self.segment_length)
 
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:
@@ -55,22 +55,23 @@ class SegmentPlan:
         """(S, N) int array: the clip frame held at segment i, slot k."""
         return np.add.outer(self.starts, np.arange(self.frames_per_segment))
 
-    def segment(self, i: int) -> tuple[int, int]:
-        return self.starts[i], self.starts[i] + self.frames_per_segment
-
     def __len__(self) -> int:
         return len(self.starts)
+
+
+def _segment_count(L: int, N: int, C: int) -> int:
+    """Segments of a plan: 1, plus ceil((L - N) / (N - C)) when L > N."""
+    return 1 + max(0, -(-(L - N) // (N - C)))
 
 
 def plan_segments(total_frames: int, segment_length: int,
                   context_overlap: int) -> SegmentPlan:
     """Choose segment starts covering [0, total_frames).
 
-    Starts advance by segment_length - context_overlap. When the final
-    stride would overshoot, the last segment is pinned to end exactly at
-    total_frames, which can only enlarge its overlap with the previous
-    segment. A clip shorter than one segment yields a single truncated
-    segment.
+    Starts advance by segment_length - context_overlap, and the last
+    segment is pinned to end exactly at total_frames, which can only
+    enlarge its overlap with the previous segment. A clip shorter than
+    one segment yields the single segment [0, total_frames).
     """
     L, N, C = total_frames, segment_length, context_overlap
     if not 0 < C < N:
@@ -78,15 +79,9 @@ def plan_segments(total_frames: int, segment_length: int,
                          f"(got C={C}, N={N})")
     if L < 1:
         raise ValueError("total_frames must be >= 1")
-    if L < N:
-        return SegmentPlan(L, N, C, (0,), truncated=True)
-    starts = [0]
-    while starts[-1] + N < L:
-        nxt = starts[-1] + (N - C)
-        if nxt + N > L:
-            nxt = L - N
-        starts.append(nxt)
-    return SegmentPlan(L, N, C, tuple(starts))
+    stride, last = N - C, _segment_count(L, N, C) - 1
+    return SegmentPlan(L, N, C, tuple(range(0, last * stride, stride))
+                       + (max(L - N, 0),))
 
 
 def format_plan(plan: SegmentPlan) -> str:
@@ -102,23 +97,34 @@ def overlap_weights(context_overlap: int, overlap_size: int) -> np.ndarray:
     exceeds C (a pinned tail segment), positions past the ramp belong
     to the incoming segment outright.
     """
-    C = context_overlap
     if overlap_size < 1:
         raise ValueError("overlap_size must be >= 1")
-    return np.array([(m + 1) / (C + 1) if m < C else 1.0
-                     for m in range(overlap_size)])
+    return np.minimum(np.arange(1, overlap_size + 1) / (context_overlap + 1),
+                      1.0)
 
 
-def _check_segment_latents(latents: Sequence[np.ndarray], plan: SegmentPlan):
-    if len(latents) != len(plan):
-        raise ValueError(f"expected {len(plan)} segment arrays, got {len(latents)}")
-    n = plan.frames_per_segment
-    for z in latents:
-        if z.ndim != 4 or z.shape[0] != n:
-            raise ValueError(f"segment latents must be (N, C, H, W) with "
-                             f"N={n}, got {z.shape}")
-        if z.shape[1:] != latents[0].shape[1:]:
-            raise ValueError("segments disagree on latent shape")
+def _segment_stack(latents: Sequence[np.ndarray],
+                   plan: SegmentPlan) -> np.ndarray:
+    """Per-segment latents as one (S, N, C, H, W) float64 stack."""
+    stack = np.asarray(latents, dtype=np.float64)
+    want = (len(plan), plan.frames_per_segment)
+    if stack.ndim != 5 or stack.shape[:2] != want:
+        raise ValueError(f"segment latents must stack to {want} + (C, H, W), "
+                         f"got {stack.shape}")
+    return stack
+
+
+def _holders(plan: SegmentPlan) -> tuple[np.ndarray, np.ndarray]:
+    """First and last segment holding each clip frame, as (L,) arrays.
+
+    Segment i holds f when f - n < start_i <= f; starts increase, so the
+    holders of f are the contiguous run first[f]..last[f].
+    """
+    frames = np.arange(plan.total_frames)
+    first = np.searchsorted(plan.starts, frames - plan.frames_per_segment,
+                            side="right")
+    last = np.searchsorted(plan.starts, frames, side="right") - 1
+    return first, last
 
 
 @dataclass(frozen=True)
@@ -144,36 +150,27 @@ class _OverlapTable:
 
 
 def _overlap_table(plan: SegmentPlan) -> _OverlapTable:
-    n = plan.frames_per_segment
-    decider: dict[int, tuple[int, int, float]] = {}
-    for i in range(len(plan) - 1):
-        s_prev, e_prev = plan.segment(i)
-        s_next = plan.starts[i + 1]
-        w = overlap_weights(plan.context_overlap, e_prev - s_next)
-        for m, f in enumerate(range(s_next, e_prev)):
-            decider[f] = (i * n + f - s_prev, (i + 1) * n + m, float(w[m]))
-    frames = sorted(decider)
-    entry = {f: j for j, f in enumerate(frames)}
-    holders: list[list[int]] = [[] for _ in frames]
-    for i, (s, e) in enumerate(plan.segments):
-        for f in range(s, e):
-            if f in entry:
-                holders[entry[f]].append(i * n + f - s)
-
-    def index(values) -> np.ndarray:
-        return np.array(values, dtype=np.intp)
-
+    n, starts = plan.frames_per_segment, np.asarray(plan.starts)
+    first, last = _holders(plan)
+    frames = np.flatnonzero(first < last)
+    first, last = first[frames], last[frames]
+    held = last - first + 1
+    # the later pair (last - 1, last) decides; pos: place in its overlap
+    pos = frames - starts[last]
+    w_next = overlap_weights(plan.context_overlap,
+                             pos.max(initial=0) + 1)[pos].reshape(-1, 1)
     copies = []
-    for k in range(max(map(len, holders), default=0)):
-        sel = [j for j, h in enumerate(holders) if len(h) > k]
-        copies.append((index(sel), index([holders[j][k] for j in sel])))
-    w_next = np.array([decider[f][2] for f in frames]).reshape(-1, 1)
+    for k in range(held.max(initial=0)):
+        entries = np.flatnonzero(held > k)
+        holder = first[entries] + k
+        copies.append((entries,
+                       holder * n + frames[entries] - starts[holder]))
     return _OverlapTable(
-        prev=index([decider[f][0] for f in frames]),
-        next=index([decider[f][1] for f in frames]),
+        prev=(last - 1) * n + frames - starts[last - 1],
+        next=last * n + pos,
         w_next=w_next, w_prev=1.0 - w_next,
         copies=tuple(copies),
-        count=np.array([float(len(h)) for h in holders]).reshape(-1, 1))
+        count=held.astype(np.float64).reshape(-1, 1))
 
 
 # elements per block of shared frames, so that a block and its scratch
@@ -242,27 +239,24 @@ def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}, expected one of {FUSION_MODES}")
-    _check_segment_latents(latents, plan)
-    stack = np.array(latents, dtype=np.float64)
+    stack = _segment_stack(np.array(latents, dtype=np.float64), plan)
     _fuse_stack(stack, _overlap_table(plan), mode)
     return list(stack)
 
 
 def assemble(latents: Sequence[np.ndarray], plan: SegmentPlan) -> np.ndarray:
-    """Concatenate segments into an (L, C, H, W) video.
+    """Gather segments into an (L, C, H, W) float64 video.
 
-    Segment i contributes frames [start_i, start_{i+1}); the final
-    segment contributes its whole range. After fusion the choice of
-    contributor would not matter on overlaps since all copies agree,
-    but without fusion this rule defines the hard-concat baseline.
+    Each frame comes from the last segment holding it: segment i gives
+    frames [start_i, start_{i+1}), the final segment its whole range.
+    After fusion all copies agree, so the choice would not matter on
+    overlaps; without fusion this rule is the hard-concat baseline.
+    A list of segments is stacked whole before the frames are gathered.
     """
-    _check_segment_latents(latents, plan)
-    shape = (plan.total_frames,) + latents[0].shape[1:]
-    video = np.empty(shape)
-    for i, (s, _e) in enumerate(plan.segments):
-        cut = plan.starts[i + 1] if i + 1 < len(plan) else plan.total_frames
-        video[s:cut] = latents[i][:cut - s]
-    return video
+    stack = _segment_stack(latents, plan)
+    frames = np.arange(plan.total_frames)
+    last = np.searchsorted(plan.starts, frames, side="right") - 1
+    return stack[last, frames - np.asarray(plan.starts)[last]]
 
 
 StepCallback = Callable[[int, np.ndarray], None]
@@ -330,12 +324,10 @@ def _boundary_transitions(plan: SegmentPlan) -> tuple[int, ...]:
     (start_{i+1} - 1) and the one leaving it (end_i - 1), clipped to the
     valid transition range.
     """
-    last = plan.total_frames - 2
-    marks = set()
-    for i in range(len(plan) - 1):
-        for f in (plan.starts[i + 1] - 1, plan.segment(i)[1] - 1):
-            marks.add(min(max(f, 0), last))
-    return tuple(sorted(marks))
+    starts = np.asarray(plan.starts)
+    ends = starts + plan.frames_per_segment
+    marks = np.clip([starts[1:] - 1, ends[:-1] - 1], 0, plan.total_frames - 2)
+    return tuple(np.unique(marks).tolist())
 
 
 def boundary_jump_metric(profile: np.ndarray, plan: SegmentPlan) -> float:

@@ -30,7 +30,11 @@ class FormatError(ValueError):
 
 
 def mmtl_encode(arr: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(arr, dtype="<f4")
+    try:
+        with np.errstate(over="raise"):
+            a = np.ascontiguousarray(arr, dtype="<f4")
+    except FloatingPointError:
+        raise FormatError("values overflow float32") from None
     if a.ndim < 1 or a.ndim > 255:
         raise FormatError(f"unsupported ndim {a.ndim}")
     if any(d < 1 or d > 0xFFFFFFFF for d in a.shape):

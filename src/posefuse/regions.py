@@ -50,24 +50,26 @@ def hand_bbox(frame: PoseFrame, side: str, pad_frac: float, width: int,
     all keypoints coincide, an 8x8 box centered on the point is used.
     """
     idxs = list(frame.layout.hand_indices(side))
-    xs = frame.x[idxs] * width
-    ys = frame.y[idxs] * height
+    with np.errstate(over="ignore"):  # a far keypoint scales to inf
+        xs = frame.x[idxs] * width
+        ys = frame.y[idxs] * height
     min_x, max_x = float(xs.min()), float(xs.max())
     min_y, max_y = float(ys.min()), float(ys.max())
+    degenerate = min_x == max_x and min_y == max_y
+    pad = 0.0 if degenerate else max(
+        float(MIN_PAD_PX), pad_frac * max(max_x - min_x, max_y - min_y))
+    box = (min_x - pad, min_y - pad, max_x + pad, max_y + pad)
+    if not all(map(math.isfinite, box)):
+        raise ValueError(f"hand box {box} is not finite")
 
-    if min_x == max_x and min_y == max_y:
+    if degenerate:
         half = DEGENERATE_BOX_PX // 2
         x0 = int(round(min_x)) - half
         y0 = int(round(min_y)) - half
         x1, y1 = x0 + DEGENERATE_BOX_PX, y0 + DEGENERATE_BOX_PX
     else:
-        pad = max(float(MIN_PAD_PX), pad_frac * max(max_x - min_x, max_y - min_y))
-        if not math.isfinite(pad):
-            raise ValueError(f"hand box padding {pad} is not finite")
-        x0 = math.floor(min_x - pad)
-        y0 = math.floor(min_y - pad)
-        x1 = math.ceil(max_x + pad)
-        y1 = math.ceil(max_y + pad)
+        x0, y0 = math.floor(box[0]), math.floor(box[1])
+        x1, y1 = math.ceil(box[2]), math.ceil(box[3])
 
     x0, y0 = max(0, x0), max(0, y0)
     x1, y1 = min(width, x1), min(height, y1)

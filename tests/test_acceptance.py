@@ -92,8 +92,8 @@ def test_c02_overlap_consistency_every_step():
             nonlocal worst
             steps_seen.append(t)
             for i in range(len(plan) - 1):
-                s_prev, e_prev = plan.segment(i)
-                s_next, _ = plan.segment(i + 1)
+                s_prev, e_prev = plan.segments[i]
+                s_next, _ = plan.segments[i + 1]
                 for f in range(s_next, e_prev):
                     worst = max(worst, max_rel_diff(latents[i][f - s_prev],
                                                     latents[i + 1][f - s_next]))

@@ -6,6 +6,7 @@ import pytest
 
 from posefuse import cli
 from posefuse.cli import main
+from posefuse.skeleton import WHOLEBODY_133
 
 from conftest import person_keypoints, pose_doc, read_mmtl, read_raster
 
@@ -249,6 +250,45 @@ def test_weight_map_hostile_numbers_return_2(tmp_path, pose_file, capsys,
     assert not out.with_suffix(".pgm").exists()
 
 
+@pytest.mark.parametrize("far_x, anchor_x", [
+    (1.7976931348623157e308, None),  # x / 576 * 576 rounds to inf
+    (-1.7e308, 0.0),  # finite corners, the padded box overflows
+])
+def test_weight_map_hand_at_float_extreme_returns_2(tmp_path, capsys,
+                                                    recwarn, far_x,
+                                                    anchor_x):
+    px = person_keypoints()
+    px[:, 0] *= 576
+    px[:, 1] *= 1024
+    hand = list(WHOLEBODY_133.hand_indices("left"))
+    px[hand, 0] = far_x
+    if anchor_x is not None:
+        px[hand[0], 0] = anchor_x
+    doc = {"layout": "coco_wholebody_133", "width": 576, "height": 1024,
+           "frames": [{"keypoints": px.tolist()}]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "wm.mmtl"
+    rc = main(["weight-map", "--poses", str(path), "--frame", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: hand box")
+    assert len(recwarn) == 0
+    assert not out.exists()
+    assert not out.with_suffix(".pgm").exists()
+
+
+def test_weight_map_w_hand_past_float32_returns_2(tmp_path, pose_file,
+                                                  capsys):
+    out = tmp_path / "wm.mmtl"
+    rc = main(["weight-map", "--poses", str(pose_file), "--frame", "0",
+               "--w-hand", "1e308", "--out", str(out)])
+    assert rc == 2
+    assert "overflow float32" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".pgm").exists()
+
+
 # ---- longvideo --------------------------------------------------------------
 
 def read_metrics(path):
@@ -297,6 +337,15 @@ def test_longvideo_analytic_gaussian_runs(tmp_path):
     video = read_mmtl(
         (tmp_path / "out" / "progressive" / "latents.mmtl").read_bytes())
     assert np.isfinite(video).all()
+
+
+def test_longvideo_latents_past_float32_returns_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, denoiser="analytic_gaussian", mu=1e300,
+                       sigma0=2.0)
+    rc = main(["longvideo", "--config", str(cfg)])
+    assert rc == 2
+    assert "overflow float32" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_longvideo_bad_overlap_config(tmp_path, capsys):

@@ -54,6 +54,16 @@ def test_mmtl_casts_float64_to_f32():
     assert out[0] == np.float32(1.0 / 3.0)
 
 
+def test_mmtl_rejects_values_past_float32():
+    for value in (1e308, -1e39):
+        with pytest.raises(FormatError, match="overflow float32"):
+            mmtl_encode(np.array([value]))
+    assert read_mmtl(mmtl_encode(np.array([3.4e38])))[0] == np.float32(3.4e38)
+    # inf and NaN are values of float32 already, not overflows
+    out = read_mmtl(mmtl_encode(np.array([np.inf, -np.inf, np.nan])))
+    assert np.isposinf(out[0]) and np.isneginf(out[1]) and np.isnan(out[2])
+
+
 def test_mmtl_fortran_order_written_row_major():
     arr = np.arange(6, dtype=np.float32).reshape(2, 3)
     assert mmtl_encode(np.asfortranarray(arr)) == mmtl_encode(arr)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posefuse import fusion
@@ -28,7 +28,7 @@ def test_plan_standard():
     plan = plan_segments(36, 16, 6)
     assert plan.starts == (0, 10, 20)
     assert plan.segments == ((0, 16), (10, 26), (20, 36))
-    assert not plan.truncated
+    assert plan.frames_per_segment == 16
 
 
 def test_plan_single_segment_exact_fit():
@@ -43,7 +43,6 @@ def test_plan_tail_shifted():
 
 def test_plan_truncated_short_clip():
     plan = plan_segments(10, 16, 6)
-    assert plan.truncated
     assert plan.segments == ((0, 10),)
     assert plan.frames_per_segment == 10
 
@@ -69,6 +68,75 @@ def test_plan_union_covers_everything():
         for (s0, e0), (s1, e1) in zip(plan.segments, plan.segments[1:]):
             assert s1 > s0
             assert e0 - s1 >= C  # overlap never shrinks below C
+
+
+# Loop references for the closed-form plan geometry: the planner as a
+# stride loop, assembly as one slice per segment and the seam marks as a
+# set, each written the direct way.
+
+def loop_plan_starts(L, N, C):
+    if L < N:
+        return (0,)
+    starts = [0]
+    while starts[-1] + N < L:
+        nxt = starts[-1] + (N - C)
+        if nxt + N > L:
+            nxt = L - N
+        starts.append(nxt)
+    return tuple(starts)
+
+
+def loop_assemble(latents, plan):
+    """Segment i contributes frames [start_i, start_{i+1}); the last one
+    its whole range."""
+    video = np.empty((plan.total_frames,) + latents[0].shape[1:])
+    for i, s in enumerate(plan.starts):
+        cut = plan.starts[i + 1] if i + 1 < len(plan) else plan.total_frames
+        video[s:cut] = latents[i][:cut - s]
+    return video
+
+
+def loop_boundary_transitions(plan):
+    last = plan.total_frames - 2
+    marks = set()
+    for i in range(len(plan) - 1):
+        end = plan.starts[i] + plan.frames_per_segment
+        for f in (plan.starts[i + 1] - 1, end - 1):
+            marks.add(min(max(f, 0), last))
+    return tuple(sorted(marks))
+
+
+# (L, N, C) with N in 2..40, any 0 < C < N and L in 1..400: short clips,
+# exact strides, pinned tails and frames held by three or more segments
+plan_geometry = st.integers(2, 40).flatmap(
+    lambda N: st.tuples(st.integers(1, 400), st.just(N),
+                        st.integers(1, N - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_geometry)
+@example((37, 16, 6)).via("three holders")
+@example((10, 16, 6)).via("shorter than one segment")
+@example((400, 40, 39)).via("stride 1")
+def test_plan_geometry_matches_loop_reference(geometry):
+    plan = plan_segments(*geometry)
+    assert plan.starts == loop_plan_starts(*geometry)
+    assert _boundary_transitions(plan) == loop_boundary_transitions(plan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_geometry, st.sampled_from([np.float64, np.float32]),
+       st.booleans())
+@example((37, 16, 6), np.float32, True).via("three holders")
+def test_assemble_matches_loop_reference(geometry, dtype, as_list):
+    plan = plan_segments(*geometry)
+    rng = np.random.default_rng(geometry[0])
+    stack = rng.normal(size=(len(plan), plan.frames_per_segment, 1, 1, 2))
+    stack = stack.astype(dtype)
+    latents = list(stack) if as_list else stack
+    video = assemble(latents, plan)
+    assert video.dtype == np.float64
+    assert video.tobytes() == loop_assemble(latents, plan).tobytes()
 
 
 def test_plan_text_roundtrip():
@@ -130,8 +198,8 @@ def test_progressive_copies_equal_and_from_prefusion_values():
     originals = [z.copy() for z in latents]
     fused = fuse_segments(latents, plan, "progressive")
     for i in range(len(plan) - 1):
-        s_prev, _ = plan.segment(i)
-        s_next, _ = plan.segment(i + 1)
+        s_prev, _ = plan.segments[i]
+        s_next, _ = plan.segments[i + 1]
         for k in range(1, 7):
             f = s_next + k - 1
             a = fused[i][f - s_prev]
@@ -188,6 +256,9 @@ def test_fuse_segments_dispatch_and_validation():
     bad = [latents[0], latents[1][:, :, :2, :]]
     with pytest.raises(ValueError):
         fuse_segments(bad, plan, "progressive")
+    for ragged in (bad, latents[:1]):
+        with pytest.raises(ValueError):
+            assemble(ragged, plan)
     assert set(FUSION_MODES) == {"progressive", "uniform", "none"}
 
 
@@ -235,7 +306,7 @@ def loop_fuse(latents, plan, mode):
             continue
         for i in range(len(plan) - 1):
             s_next = plan.starts[i + 1]
-            e_prev = plan.segment(i)[1]
+            e_prev = plan.segments[i][1]
             if s_next <= f < e_prev:
                 w = overlap_weights(plan.context_overlap, e_prev - s_next)
                 w_next = float(w[f - s_next])
@@ -335,8 +406,8 @@ def test_run_long_denoise_overlap_consistency_every_step():
     def check(t, latents):
         seen.append(t)
         for i in range(len(plan) - 1):
-            s_prev, e_prev = plan.segment(i)
-            s_next, _ = plan.segment(i + 1)
+            s_prev, e_prev = plan.segments[i]
+            s_next, _ = plan.segments[i + 1]
             for f in range(s_next, e_prev):
                 a = latents[i][f - s_prev]
                 b = latents[i + 1][f - s_next]
