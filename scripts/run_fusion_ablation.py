@@ -15,6 +15,7 @@ change. Lower is smoother. Typical output:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -38,9 +39,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--size", type=int, default=8,
                         help="latent height and width")
     args = parser.parse_args(argv)
-
-    plan = plan_segments(args.total_frames, args.segment_length,
-                         args.context_overlap)
+    for name in ("total_frames", "steps", "seeds", "channels", "size"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name.replace('_', '-')} must be >= 1")
+    if not 0.0 <= args.phase_jitter < math.inf:
+        parser.error("--phase-jitter must be finite and >= 0")
+    try:
+        plan = plan_segments(args.total_frames, args.segment_length,
+                             args.context_overlap)
+    except ValueError as err:
+        parser.error(str(err))
     shape = (args.channels, args.size, args.size)
     print(f"plan: {len(plan)} segments of {plan.frames_per_segment} frames, "
           f"starts {list(plan.starts)}")

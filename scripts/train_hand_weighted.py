@@ -12,6 +12,7 @@ MSE split by region for both weightings, next to the analytic optima.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -37,6 +38,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, default=3)
     parser.add_argument("--seed", type=int, default=88)
     args = parser.parse_args(argv)
+    for name in ("steps", "samples"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be >= 1")
+    for name in ("w_hand", "lr"):
+        if not 0.0 < getattr(args, name) < math.inf:
+            parser.error(f"--{name.replace('_', '-')} must be finite and > 0")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
 
     rng = np.random.default_rng(args.seed)
     mask = np.zeros((8, 8), dtype=bool)

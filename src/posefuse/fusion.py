@@ -284,6 +284,9 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if len(latent_shape) != 3 or min(latent_shape) < 1:
+        raise ValueError(f"latent_shape must be three sizes >= 1, got "
+                         f"{tuple(latent_shape)}")
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
     pose = cond.pose_features if cond is not None else None

@@ -8,14 +8,21 @@ full palette color. Overlapping strokes composite by per-channel max,
 which is order-independent and keeps values in [0, 1]. No anti-aliasing:
 a pixel is covered iff its center lies within the stroke.
 
-Each frame is drawn in vectorised passes over batches of strokes: every
-stroke's clipped bounding box is flattened into pixel lists, the disc or
-capsule coverage test runs elementwise over all of them, and covered
-pixels composite into the canvas with one ``np.maximum.at`` per batch.
-The test is the same float expression a per-stroke loop evaluates, and
-max is exact and order-free, so batching does not change a single
-output bit. ``render_frame_u8`` draws the same strokes in quantized colors
-straight into the uint8 image that ``render-pose`` writes.
+Each frame is drawn in vectorised passes over row spans, discs and
+capsules apart. Every row of a stroke's clipped bounding box gets the
+x-interval its pixel centres can be covered in: the chord of a disc, or
+the row's cut through the strip of width 2 * half around a limb's line,
+widened by a small margin. A row keeps its whole box width where that
+bound cannot be trusted (a horizontal limb, a strip as wide as the box,
+or coordinates far from the canvas). The coverage test then runs only
+on the span pixels, in passes cut by a fixed budget of candidate pixels
+rather than by stroke count, so temporaries stay small whatever the
+radius, and covered pixels composite into the canvas with
+``np.maximum.at``. The test is the same float expression a per-stroke
+loop evaluates over the whole box, and max is exact and order-free, so
+neither trimming nor passes change a single output bit.
+``render_frame_u8`` draws the same strokes in quantized colors straight
+into the uint8 image that ``render-pose`` writes.
 """
 
 from __future__ import annotations
@@ -68,10 +75,21 @@ class GuidanceMap:
         self.data.setflags(write=False)
 
 
-# Strokes rasterized per vectorised pass. Small batches keep the flat
-# pixel lists (a few arrays over every pixel of every box in the batch)
-# to a few megabytes at 576x1024.
-_STROKE_BATCH = 32
+# Candidate pixels tested per pass. A pass holds about a dozen arrays of
+# this length (under 2 MB in all), whatever the stroke sizes. Larger
+# passes were slower at 576x1024 under glibc's default malloc settings:
+# from 2**15 on, freeing a pass's temporaries handed their pages back to
+# the kernel, and each frame faulted about 1300 of them in again.
+_PASS_PIXELS = 1 << 14
+
+# A row span is trimmed only where the stroke's coordinates and radius
+# all lie within _TRIM_LIMIT px of the origin. There the float rounding
+# of a span bound stays a few hundredths of a pixel, inside the
+# _SPAN_MARGIN the span is widened by, so every pixel centre the
+# coverage test accepts is still a candidate. Elsewhere a row falls back
+# to its whole box row.
+_TRIM_LIMIT = 2.0 ** 20
+_SPAN_MARGIN = 0.25
 
 
 def _box_bounds(lo: np.ndarray, hi: np.ndarray, size: int):
@@ -86,62 +104,116 @@ def _box_bounds(lo: np.ndarray, hi: np.ndarray, size: int):
     return start, stop
 
 
-def _box_pixels(x0, x1, y0, y1):
-    """Every pixel of every stroke's box, stroke by stroke, row by row.
-
-    Returns the per-stroke pixel counts (``np.repeat`` by them spreads a
-    per-stroke value over its pixels) and the flat x and y lists.
-    """
-    nx = np.maximum(x1 - x0, 0)
-    ny = np.where(nx > 0, np.maximum(y1 - y0, 0), 0)
-    rows = np.arange(ny.sum()) + np.repeat(y0 - (np.cumsum(ny) - ny), ny)
-    row_nx = np.repeat(nx, ny)
-    row_x0 = np.repeat(x0, ny) - (np.cumsum(row_nx) - row_nx)
-    xs = np.arange(row_nx.sum()) + np.repeat(row_x0, row_nx)
-    return nx * ny, xs, np.repeat(rows, row_nx)
+def _box_rows(x0, x1, y0, y1):
+    """The stroke index and y of every row of every stroke's box."""
+    ny = np.where(x1 > x0, np.maximum(y1 - y0, 0), 0)
+    stroke = np.repeat(np.arange(len(ny)), ny)
+    ys = np.arange(len(stroke)) + np.repeat(y0 - (np.cumsum(ny) - ny), ny)
+    return stroke, ys
 
 
-def _composite(canvas: np.ndarray, width: int, count, xs, ys, mask,
+def _span(lo, hi, x0, x1):
+    """[start, stop) of the box-row pixels [x0, x1) whose centres lie in
+    [lo - _SPAN_MARGIN, hi + _SPAN_MARGIN]. Bounds -inf and inf give the
+    whole box row, inf and -inf an empty one."""
+    start = np.clip(np.ceil(lo - (0.5 + _SPAN_MARGIN)), x0, x1)
+    stop = np.clip(np.floor(hi - (0.5 - _SPAN_MARGIN)) + 1, x0, x1)
+    return start.astype(np.int64), stop.astype(np.int64)
+
+
+def _trusted(*coords) -> np.ndarray:
+    """Strokes whose every coordinate lies within _TRIM_LIMIT px (NaN and
+    infinity fail)."""
+    return np.logical_and.reduce(np.abs(np.broadcast_arrays(*coords))
+                                 <= _TRIM_LIMIT)
+
+
+def _composite(canvas: np.ndarray, width: int, xs, ys, stroke, mask,
                values: np.ndarray) -> None:
-    """canvas[y, x, :] = max(canvas[y, x, :], value) over masked pixels,
-    with ``canvas`` the flat (H*W*3) image; ``np.maximum.at`` is
-    unbuffered, so pixels covered by several strokes keep the largest."""
-    flat = (ys[mask] * width + xs[mask]) * 3
-    idx = (flat[:, None] + np.arange(3)).ravel()
-    stroke = np.repeat(np.arange(len(count)), count)[mask]
-    np.maximum.at(canvas, idx, values[stroke].ravel())
+    """canvas[y, x, :] = max(canvas[y, x, :], values[stroke]) over the
+    candidate pixels ``mask`` keeps, with ``canvas`` the flat (H*W*3)
+    image; ``np.maximum.at`` is unbuffered, so pixels covered by several
+    strokes keep the largest."""
+    pixel = (ys * width + xs)[mask]
+    stroke = stroke[mask]
+    for c in range(3):
+        np.maximum.at(canvas[c::3], pixel, values[stroke, c])
+
+
+def _paint_spans(canvas, width, ys, x0, x1, stroke, values, covers) -> None:
+    """Composite the pixels of row spans that ``covers`` accepts.
+
+    Row k spans pixels [x0[k], x1[k]) of row ``ys[k]`` and belongs to
+    stroke ``stroke[k]``. The rows are cut into passes of about
+    _PASS_PIXELS candidates; ``covers(rows, xs)`` gets a pass's candidate
+    x and ``rows``, which spreads a per-row array over its candidates.
+    """
+    count = np.maximum(x1 - x0, 0)
+    ends = np.cumsum(count)
+    first = ends - count  # each row's first candidate in the whole list
+    shift = x0 - first
+    total = ends[-1] if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(0, total, _PASS_PIXELS),
+                           side="right")
+    for r0, r1 in zip(cuts, np.append(cuts[1:], len(count))):
+        def rows(per_row):
+            return np.repeat(per_row[r0:r1], count[r0:r1])
+
+        xs = np.arange(first[r0], ends[r1 - 1]) + rows(shift)
+        _composite(canvas, width, xs, rows(ys), rows(stroke),
+                   covers(rows, xs), values)
 
 
 def _paint_discs(canvas, width, height, cx, cy, r, values) -> None:
-    for s in range(0, len(cx), _STROKE_BATCH):
-        b = slice(s, s + _STROKE_BATCH)
-        x0, x1 = _box_bounds(cx[b] - r[b], cx[b] + r[b], width)
-        y0, y1 = _box_bounds(cy[b] - r[b], cy[b] + r[b], height)
-        count, xs, ys = _box_pixels(x0, x1, y0, y1)
-        rr = np.repeat(r[b] * r[b], count)
-        mask = ((xs + 0.5 - np.repeat(cx[b], count)) ** 2
-                + (ys + 0.5 - np.repeat(cy[b], count)) ** 2 <= rr)
-        _composite(canvas, width, count, xs, ys, mask, values[b])
+    x0, x1 = _box_bounds(cx - r, cx + r, width)
+    y0, y1 = _box_bounds(cy - r, cy + r, height)
+    s, ys = _box_rows(x0, x1, y0, y1)
+    trim = _trusted(cx, cy, r)[s]
+    cx, rr = cx[s], (r * r)[s]
+    dy2 = (ys + 0.5 - cy[s]) ** 2
+    chord = np.where(trim, np.sqrt(np.maximum(rr - dy2, 0.0)), np.inf)
+    # A row whose dy2 alone exceeds rr covers nothing (the test adds a
+    # square to it, and rounding never takes a float sum below an
+    # addend); a chord of -inf gives it an empty span.
+    chord[dy2 > rr] = -np.inf
+    sx0, sx1 = _span(cx - chord, cx + chord, x0[s], x1[s])
+    _paint_spans(canvas, width, ys, sx0, sx1, s, values, lambda rows, xs: (
+        (xs + 0.5 - rows(cx)) ** 2 + rows(dy2) <= rows(rr)))
 
 
 def _paint_capsules(canvas, width, height, ax, ay, bx, by, half,
                     values) -> None:
-    for s in range(0, len(ax), _STROKE_BATCH):
-        b = slice(s, s + _STROKE_BATCH)
-        x0, x1 = _box_bounds(np.minimum(ax[b], bx[b]) - half,
-                             np.maximum(ax[b], bx[b]) + half, width)
-        y0, y1 = _box_bounds(np.minimum(ay[b], by[b]) - half,
-                             np.maximum(ay[b], by[b]) + half, height)
-        count, xs, ys = _box_pixels(x0, x1, y0, y1)
-        sdx, sdy = bx[b] - ax[b], by[b] - ay[b]
-        seg2 = np.repeat(sdx * sdx + sdy * sdy, count)
-        dx, dy = np.repeat(sdx, count), np.repeat(sdy, count)
-        px = xs + 0.5 - np.repeat(ax[b], count)
-        py = ys + 0.5 - np.repeat(ay[b], count)
-        t = np.clip((px * dx + py * dy) / seg2, 0.0, 1.0)
-        d2 = (px - t * dx) ** 2 + (py - t * dy) ** 2
-        _composite(canvas, width, count, xs, ys, d2 <= half * half,
-                   values[b])
+    x0, x1 = _box_bounds(np.minimum(ax, bx) - half, np.maximum(ax, bx) + half,
+                         width)
+    y0, y1 = _box_bounds(np.minimum(ay, by) - half, np.maximum(ay, by) + half,
+                         height)
+    s, ys = _box_rows(x0, x1, y0, y1)
+    dx, dy = bx - ax, by - ay
+    seg2 = dx * dx + dy * dy
+    # Covered pixel centres lie in the strip |px dy - py dx| <= half L
+    # around the limb's line: in row y, x within w = half L / |dy| of
+    # ax + py dx / dy. A horizontal limb, or one whose strip is at least
+    # as wide as its box, takes whole box rows.
+    slanted = dy != 0.0
+    slope = np.divide(dx, dy, out=np.zeros_like(dx), where=slanted)
+    w = np.divide(half * np.sqrt(seg2), np.abs(dy),
+                  out=np.full_like(dx, np.inf), where=slanted)
+    trim = (_trusted(ax, ay, bx, by, half) & (w < x1 - x0))[s]
+    ax, dx, dy, seg2, w = ax[s], dx[s], dy[s], seg2[s], w[s]
+    py = ys + 0.5 - ay[s]
+    pydy = py * dy
+    mid = ax + py * slope[s]
+    sx0, sx1 = _span(np.where(trim, mid - w, -np.inf),
+                     np.where(trim, mid + w, np.inf), x0[s], x1[s])
+
+    def covers(rows, xs):
+        px = xs + 0.5 - rows(ax)
+        pdx, pdy, ppy = rows(dx), rows(dy), rows(py)
+        t = np.clip((px * pdx + rows(pydy)) / rows(seg2), 0.0, 1.0)
+        d2 = (px - t * pdx) ** 2 + (ppy - t * pdy) ** 2
+        return d2 <= half * half
+
+    _paint_spans(canvas, width, ys, sx0, sx1, s, values, covers)
 
 
 def _drawn(conf: np.ndarray, colors: np.ndarray, style: RenderStyle):

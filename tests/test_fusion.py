@@ -500,6 +500,10 @@ def test_run_long_denoise_validation():
     with pytest.raises(ValueError):
         run_long_denoise(lambda z, c, t: None, None, plan, 1, "wild", seed=0,
                          latent_shape=(1, 1, 1))
+    for shape in ((0, 4, 4), (4, 0, 4), (4, 4, -1), (4, 4)):
+        with pytest.raises(ValueError, match="latent_shape"):
+            run_long_denoise(lambda z, c, t: None, None, plan, 1, "none",
+                             seed=0, latent_shape=shape)
 
 
 # ---- metrics -----------------------------------------------------------

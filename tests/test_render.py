@@ -1,8 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -210,7 +211,7 @@ def test_reference_height_render_uses_nominal_radius():
     assert width in (7, 8, 9)  # 4 px radius disc, center on pixel grid
 
 
-# ---- batched rasterizer against a per-stroke reference ---------------------
+# ---- row-span rasterizer against a per-stroke reference --------------------
 
 def _ref_paint_disc(canvas, cx, cy, r, value):
     h, w = canvas.shape[:2]
@@ -284,12 +285,15 @@ def reference_render(frame, style, width, height):
 
 _EDGE_COUNT = len(WHOLEBODY_133.edges)
 _HUGE = (1e200, -1e200, 3e150, -7e100)
+_TINY = (5e-324, -5e-324, 1e-300, 1e-168, -1e-168)
 
 
 @st.composite
 def hostile_frames(draw):
     """Whole-body frames mixing on-canvas, edge, far-off and huge points,
-    zero and fractional confidences, and limbs of zero length."""
+    zero and fractional confidences, and limbs of zero or nearly zero
+    length: an endpoint equal to its partner, or off it by a tiny step on
+    one axis (which may round away on a large coordinate)."""
     coord = st.one_of(st.floats(-0.3, 1.3), st.sampled_from((0.0, 0.5, 1.0)),
                       st.floats(-40.0, 40.0), st.sampled_from(_HUGE))
     xy = draw(hnp.arrays(np.float64, (133, 2), elements=coord))
@@ -298,10 +302,27 @@ def hostile_frames(draw):
     for e in draw(st.lists(st.integers(0, _EDGE_COUNT - 1), max_size=12)):
         a, b, _group = WHOLEBODY_133.edges[e]
         xy[b] = xy[a]  # coincident endpoints: a zero-length limb
+        xy[b, draw(st.integers(0, 1))] += draw(st.sampled_from((0.0,) + _TINY))
     return norm_frame(np.column_stack([xy, conf]))
 
 
+def _sliver_limb_frame() -> PoseFrame:
+    """Only right-hand keypoints 121 and 122 drawn, joined by a limb that
+    is 8 px long and 5.4e-168 px tall on an 8x8 canvas: its strip
+    centre and half-width, both near 1e168 px, cancel to an empty row."""
+    kp = np.zeros((133, 3))
+    kp[:, :2] = -10.0
+    kp[121] = (1.0, 0.0, 1.0)
+    kp[122] = (0.0, 6.8e-169, 1.0)
+    return norm_frame(kp)
+
+
+_SLIVER = dict(frame=_sliver_limb_frame(), width=8, height=8, mode="scaled",
+               threshold=0.3, keypoint_radius=1.0, limb_thickness=1.0)
+
+
 @settings(max_examples=60, deadline=None)
+@example(**_SLIVER)
 @given(frame=hostile_frames(),
        width=st.integers(8, 320), height=st.integers(8, 320),
        mode=st.sampled_from(("scaled", "threshold")),
@@ -326,6 +347,7 @@ def quantize(img):
 
 
 @settings(max_examples=60, deadline=None)
+@example(**_SLIVER)
 @given(frame=hostile_frames(),
        width=st.integers(8, 320), height=st.integers(8, 320),
        mode=st.sampled_from(("scaled", "threshold")),
@@ -387,6 +409,118 @@ def test_render_matches_reference_on_person_sizes():
     assert render_frame(seq.frames[0], RenderStyle(), 96,
                         128).data.tobytes() == first
     assert first != second
+
+
+def _matching_edges():
+    """Edges of the layout that share no keypoint, first come first."""
+    used, edges = set(), []
+    for a, b, _group in WHOLEBODY_133.edges:
+        if not {a, b} & used:
+            used |= {a, b}
+            edges.append((a, b))
+    return edges
+
+
+def _angled_limbs_frame(rng, width, height, angles):
+    """One limb per edge of a matching, each from a random on-canvas
+    start at the given angle (in canvas pixels), 2 to 600 px long, with
+    random confidences; every other keypoint is far off the canvas."""
+    kp = np.zeros((133, 3))
+    kp[:, :2] = -10.0
+    for (a, b), angle in zip(_matching_edges(), angles):
+        ax, ay = rng.uniform(0, width), rng.uniform(0, height)
+        length = rng.uniform(2.0, 600.0)
+        bx = ax + length * np.cos(angle)
+        by = ay + length * np.sin(angle)
+        kp[a] = (ax / width, ay / height, rng.choice((1.0, rng.random())))
+        kp[b] = (bx / width, by / height, rng.choice((1.0, rng.random())))
+    return norm_frame(kp)
+
+
+@pytest.mark.parametrize("width,height", [(576, 1024), (1024, 576)])
+def test_render_matches_reference_on_large_canvases(width, height):
+    # Row trimming saves most on large canvases, which the Hypothesis
+    # oracles above never reach: limbs at 0, 90 and 45 degrees, nearly
+    # horizontal at 1e-9 rad, and at random angles
+    rng = np.random.default_rng(15)
+    count = len(_matching_edges())
+    angle_sets = [np.full(count, a) for a in (0.0, np.pi / 2, np.pi / 4,
+                                              1e-9, np.pi + 1e-9)]
+    angle_sets += [rng.uniform(0, 2 * np.pi, count) for _ in range(3)]
+    for angles in angle_sets:
+        frame = _angled_limbs_frame(rng, width, height, angles)
+        for style in (RenderStyle(limb_thickness=7.0),
+                      RenderStyle(limb_thickness=30.0, keypoint_radius=9.0,
+                                  confidence_mode="threshold", threshold=0.5)):
+            expect = reference_render(frame, style, width, height)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no warning for dy == 0
+                gm = render_frame(frame, style, width, height)
+                image = render_frame_u8(frame, style, width, height)
+            assert gm.data.tobytes() == expect.tobytes()
+            assert image.tobytes() == quantize(expect).tobytes()
+
+
+def test_render_matches_reference_for_far_endpoints():
+    # limbs from 1e6 to 1e18 px off the canvas into it: far from the
+    # origin a trimmed span bound would lose the pixels the float test
+    # still covers, so such limbs keep whole box rows
+    rng = np.random.default_rng(7)
+    width, height = 64, 48
+    style = RenderStyle(limb_thickness=20.0)
+    for _ in range(20):
+        kp = np.zeros((133, 3))
+        kp[:, :2] = -10.0
+        for a, b in _matching_edges():
+            angle = rng.uniform(0, 2 * np.pi)
+            bx, by = rng.uniform(0, width), rng.uniform(0, height)
+            far = 10.0 ** rng.uniform(6, 18)
+            kp[a] = ((bx + far * np.cos(angle)) / width,
+                     (by + far * np.sin(angle)) / height, 1.0)
+            kp[b] = (bx / width, by / height, 1.0)
+        frame = norm_frame(kp)
+        assert render_frame(frame, style, width, height).data.tobytes() == \
+            reference_render(frame, style, width, height).tobytes()
+
+
+def test_pass_memory_is_bounded():
+    # 133 px keypoint discs on a 512x512 canvas: about 7 M candidate
+    # pixels in all, tested in passes of a fixed size, so the peak
+    # stays far below what testing whole boxes of many strokes at once
+    # takes (about 140 MB)
+    frame = norm_frame(person_keypoints())
+    style = RenderStyle(keypoint_radius=200.0)
+    tracemalloc.start()
+    try:
+        image = render_frame_u8(frame, style, 512, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+    assert image.tobytes() == \
+        quantize(reference_render(frame, style, 512, 512)).tobytes()
+
+
+def test_candidates_stay_near_covered_pixels(monkeypatch):
+    # The coverage test runs only on row spans around each stroke: on a
+    # jittered person at 576x1024 the candidates are under twice the
+    # covered pixels (whole bounding boxes give about 3.2 times)
+    seen = {"candidates": 0, "covered": 0}
+    composite = render._composite
+
+    def counting(canvas, width, xs, ys, stroke, mask, values):
+        seen["candidates"] += mask.size
+        seen["covered"] += int(mask.sum())
+        composite(canvas, width, xs, ys, stroke, mask, values)
+
+    monkeypatch.setattr(render, "_composite", counting)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        kp = person_keypoints()
+        kp[:, :2] += rng.uniform(-0.02, 0.02, (133, 2))
+        render_frame_u8(norm_frame(kp), RenderStyle(), 576, 1024)
+    assert seen["covered"] > 0
+    assert seen["candidates"] <= 2 * seen["covered"]
 
 
 def test_zero_length_limb_is_a_disc_of_half_thickness():

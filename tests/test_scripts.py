@@ -5,6 +5,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 from posefuse.pose import parse_pose_sequence
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -48,3 +50,32 @@ def test_train_hand_weighted(capsys):
     assert "uniform" in out and "hand x10" in out
     assert re.search(r"^hand-region MSE improvement from weighting: "
                      r"-?\d+\.\d{5}$", out, re.M)
+
+
+@pytest.mark.parametrize("name,args,message", [
+    ("run_fusion_ablation", ["--seeds", "-1"], "--seeds must be >= 1"),
+    ("run_fusion_ablation", ["--seeds", "0"], "--seeds must be >= 1"),
+    ("run_fusion_ablation", ["--size", "0"], "--size must be >= 1"),
+    ("run_fusion_ablation", ["--steps", "0"], "--steps must be >= 1"),
+    ("run_fusion_ablation", ["--channels", "0"], "--channels must be >= 1"),
+    ("run_fusion_ablation", ["--total-frames", "0"],
+     "--total-frames must be >= 1"),
+    ("run_fusion_ablation", ["--phase-jitter", "nan"],
+     "--phase-jitter must be finite"),
+    ("run_fusion_ablation", ["--context-overlap", "16"],
+     "overlap must be smaller than segment length"),
+    ("train_hand_weighted", ["--steps", "-5"], "--steps must be >= 1"),
+    ("train_hand_weighted", ["--samples", "0"], "--samples must be >= 1"),
+    ("train_hand_weighted", ["--lr", "nan"], "--lr must be finite and > 0"),
+    ("train_hand_weighted", ["--lr", "0"], "--lr must be finite and > 0"),
+    ("train_hand_weighted", ["--w-hand", "inf"],
+     "--w-hand must be finite and > 0"),
+    ("train_hand_weighted", ["--seed", "-1"], "--seed must be >= 0"),
+])
+def test_scripts_reject_out_of_range_arguments(name, args, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script(name).main(args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
