@@ -147,6 +147,8 @@ def _paint_spans(canvas, width, ys, x0, x1, stroke, values, covers) -> None:
     stroke ``stroke[k]``. The rows are cut into passes of about
     _PASS_PIXELS candidates; ``covers(rows, xs)`` gets a pass's candidate
     x and ``rows``, which spreads a per-row array over its candidates.
+    A pass holds at least one row, so a row longer than the budget is
+    a pass of its own.
     """
     count = np.maximum(x1 - x0, 0)
     ends = np.cumsum(count)
@@ -155,6 +157,10 @@ def _paint_spans(canvas, width, ys, x0, x1, stroke, values, covers) -> None:
     total = ends[-1] if len(ends) else 0
     cuts = np.searchsorted(ends, np.arange(0, total, _PASS_PIXELS),
                            side="right")
+    # a row longer than the budget holds several cut points; drop the
+    # repeats, which would give passes of no rows (np.unique would do,
+    # but its first call costs 1.6 MB of resident memory)
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]
     for r0, r1 in zip(cuts, np.append(cuts[1:], len(count))):
         def rows(per_row):
             return np.repeat(per_row[r0:r1], count[r0:r1])

@@ -483,6 +483,39 @@ def test_render_matches_reference_for_far_endpoints():
             reference_render(frame, style, width, height).tobytes()
 
 
+def test_render_matches_reference_on_rows_longer_than_a_pass():
+    # On a canvas wider than the pass budget one box row alone can hold
+    # more candidates than a pass: a horizontal limb across the canvas,
+    # a limb with an endpoint past the trim limit, and a huge disc
+    # clipped at the top edge, each first in the row list, then all
+    # three together behind an ordinary limb
+    width, height = render._PASS_PIXELS + 16, 8
+    (a, b), (c, d) = _matching_edges()[:2]
+
+    def frame_of(points):
+        kp = np.zeros((133, 3))
+        kp[:, :2] = -10.0
+        for i, xyc in points.items():
+            kp[i] = xyc
+        return norm_frame(kp)
+
+    across = {a: (0.0005, 0.5, 1.0), b: (0.9995, 0.5, 0.6)}
+    far = {c: (1e3, 0.9, 1.0), d: (0.5, 0.1, 1.0)}
+    disc = {0: (0.5, 0.0, 0.8)}
+    short = {a: (0.01, 0.1, 1.0), b: (0.012, 0.9, 1.0)}
+    frames = [frame_of(across), frame_of(far), frame_of(disc),
+              frame_of({**short, **far, **disc})]
+    for frame in frames:
+        for style in (RenderStyle(keypoint_radius=1e6),
+                      RenderStyle(keypoint_radius=1e6, limb_thickness=300.0,
+                                  confidence_mode="threshold", threshold=0.7)):
+            expect = reference_render(frame, style, width, height)
+            assert render_frame(frame, style, width, height).data.tobytes() \
+                == expect.tobytes()
+            assert render_frame_u8(frame, style, width, height).tobytes() \
+                == quantize(expect).tobytes()
+
+
 def test_pass_memory_is_bounded():
     # 133 px keypoint discs on a 512x512 canvas: about 7 M candidate
     # pixels in all, tested in passes of a fixed size, so the peak
