@@ -7,12 +7,20 @@ loss weights (MMTL plus a PGM preview), and ``longvideo`` runs the
 segmented denoise-and-fuse loop on a synthetic workload and reports
 seam metrics. All outputs are byte-deterministic for a given command
 line and seed.
+
+``render-pose`` is a two-stage pipeline with one frame in flight: while
+the main thread draws frame i + 1, a writer thread streams frame i to
+disk with ``write_ppm``, straight from the image's buffer. The writer
+is joined before the next frame is handed over and before the command
+returns, so a failed write is raised in frame order and no later frame
+is written. The writer calls nothing but ``write_ppm``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +31,8 @@ from .diffusion import (linear_beta_schedule, make_phase_instance,
 from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
                      frame_difference_profile, plan_segments,
                      run_long_denoise)
-from .io_formats import (FormatError, mmtl_encode, pgm_encode, ppm_encode,
-                         weight_map_preview)
+from .io_formats import (FormatError, mmtl_encode, pgm_encode,
+                         weight_map_preview, write_ppm)
 from .pose import PoseParseError, parse_pose_sequence
 from .regions import build_weight_map
 from .render import CONFIDENCE_MODES, RenderStyle, render_frame_u8
@@ -35,15 +43,51 @@ def _read_poses(path: str):
     return parse_pose_sequence(Path(path).read_bytes())
 
 
+class _FrameWriter:
+    """Writes one PPM at a time on a thread of its own.
+
+    ``put`` waits for the previous write before starting the next, and
+    ``wait`` raises a failed write's error in the calling thread.
+    """
+
+    def __init__(self):
+        self._thread: threading.Thread | None = None
+        self._error: Exception | None = None
+
+    def _write(self, path: Path, image: np.ndarray) -> None:
+        try:
+            write_ppm(path, image)
+        except Exception as exc:  # raised again by wait()
+            self._error = exc
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+
+    def put(self, path: Path, image: np.ndarray) -> None:
+        self.wait()
+        self._thread = threading.Thread(target=self._write, args=(path, image))
+        self._thread.start()
+
+
 def _cmd_render_pose(args: argparse.Namespace) -> int:
     seq = _read_poses(args.poses)
     style = RenderStyle(confidence_mode=args.mode, threshold=args.tau)
     out = Path(args.out)
-    for i, frame in enumerate(seq.frames):
-        image = render_frame_u8(frame, style, args.width, args.height)
-        if i == 0:  # a canvas render_frame_u8 rejects leaves no directory
-            out.mkdir(parents=True, exist_ok=True)
-        (out / f"frame_{i:05d}.ppm").write_bytes(ppm_encode(image))
+    writer = _FrameWriter()
+    try:
+        for i, frame in enumerate(seq.frames):
+            image = render_frame_u8(frame, style, args.width, args.height)
+            if i == 0:  # a canvas render_frame_u8 rejects leaves no directory
+                out.mkdir(parents=True, exist_ok=True)
+            writer.put(out / f"frame_{i:05d}.ppm", image)
+    finally:
+        # a failed write of frame i outranks an error drawing frame i + 1
+        writer.wait()
     return 0
 
 

@@ -182,8 +182,8 @@ def train_toy_denoiser(samples: Sequence[Sample], w: LossWeightMap | np.ndarray,
                        params: AffineParams | None = None,
                        ) -> tuple[AffineParams, list[float]]:
     """Plain gradient descent on the weighted eps-loss; returns loss trace."""
-    if lr <= 0:
-        raise ValueError("lr must be > 0")
+    if not 0 < lr < math.inf:
+        raise ValueError("lr must be finite and > 0")
     if params is None:
         params = AffineParams.zeros(samples[0][0].shape[1])
     trace = [affine_batch_loss(params, samples, w)]

@@ -71,13 +71,16 @@ def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.copy(), end
 
 
-def ppm_encode(rgb_u8: np.ndarray) -> bytes:
+def write_ppm(path: str | Path, rgb_u8: np.ndarray) -> None:
+    """Write a binary PPM: the header, then the image's own C-order buffer
+    (copied only when the image is not C-contiguous)."""
     a = np.asarray(rgb_u8)
     if a.ndim != 3 or a.shape[2] != 3 or a.dtype != np.uint8:
         raise FormatError(f"PPM wants uint8 (H, W, 3), got {a.dtype} {a.shape}")
     h, w = a.shape[:2]
-    return b"".join((f"P6\n{w} {h}\n255\n".encode("ascii"),
-                     np.ascontiguousarray(a).data))
+    with open(path, "wb") as f:
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(np.ascontiguousarray(a).data)
 
 
 def pgm_encode(gray_u8: np.ndarray) -> bytes:
@@ -92,7 +95,7 @@ def pgm_encode(gray_u8: np.ndarray) -> bytes:
 def weight_map_preview(weights: np.ndarray) -> np.ndarray:
     """Visualize a loss weight map: 255 where amplified, 25 elsewhere."""
     w = np.asarray(weights)
-    return np.where(w > 1.0, 255, 25).astype(np.uint8)
+    return np.where(w > 1.0, np.uint8(255), np.uint8(25))
 
 
 def posenet_weights_bytes(weights: PoseNetWeights) -> bytes:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posefuse
 from posefuse import cli
 from posefuse.cli import main
 from posefuse.skeleton import WHOLEBODY_133
@@ -177,6 +182,131 @@ def test_memory_error_returns_2(tmp_path, pose_file, capsys, monkeypatch):
                str(tmp_path / "frames"), "--width", "48", "--height", "48"])
     assert rc == 2
     assert "Unable to allocate" in capsys.readouterr().err
+
+
+@pytest.fixture
+def five_frames(tmp_path):
+    """A five-frame pose file and a clean render of it at 48x48."""
+    frames = []
+    for f in range(5):
+        kp = person_keypoints()
+        kp[:, 0] += 0.01 * f
+        frames.append(kp)
+    poses = tmp_path / "five.json"
+    poses.write_bytes(pose_doc(frames, width=64, height=64))
+    clean = tmp_path / "clean"
+    assert main(render_args(poses, clean)) == 0
+    return poses, clean
+
+
+def render_args(poses, out):
+    return ["render-pose", "--poses", str(poses), "--out", str(out),
+            "--width", "48", "--height", "48"]
+
+
+def assert_frames(out, clean, count, blocker=None):
+    """out holds the clean run's frames [0, count) and nothing else but
+    the blocker, a directory standing where the next frame would go."""
+    names = [f"frame_{i:05d}.ppm" for i in range(count)]
+    for name in names:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+    if blocker is not None:
+        assert (out / blocker).is_dir()
+        names.append(blocker)
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
+def failing_on(index, original):
+    """render_frame_u8 that runs out of memory on the frame at index."""
+    calls = []
+
+    def render(*args):
+        calls.append(None)
+        if len(calls) == index + 1:
+            raise MemoryError("Unable to allocate 213. PiB")
+        return original(*args)
+
+    return render
+
+
+def test_render_pose_write_failure_stops_in_frame_order(tmp_path, five_frames,
+                                                        capsys):
+    poses, clean = five_frames
+    out = tmp_path / "frames"
+    (out / "frame_00003.ppm").mkdir(parents=True)
+    threads = threading.active_count()
+    assert main(render_args(poses, out)) == 2
+    assert threading.active_count() == threads
+    assert "error:" in capsys.readouterr().err
+    assert_frames(out, clean, 3, blocker="frame_00003.ppm")
+
+
+def test_render_pose_render_failure_keeps_earlier_frames(
+        tmp_path, five_frames, capsys, monkeypatch):
+    poses, clean = five_frames
+    monkeypatch.setattr(cli, "render_frame_u8",
+                        failing_on(2, cli.render_frame_u8))
+    out = tmp_path / "frames"
+    threads = threading.active_count()
+    assert main(render_args(poses, out)) == 2
+    assert threading.active_count() == threads
+    assert "error: Unable to allocate" in capsys.readouterr().err
+    assert_frames(out, clean, 2)
+
+
+def test_render_pose_reports_a_failed_write_before_a_later_render_error(
+        tmp_path, five_frames, capsys, monkeypatch):
+    # frame 2's write is in flight while frame 3 fails to draw
+    poses, clean = five_frames
+    monkeypatch.setattr(cli, "render_frame_u8",
+                        failing_on(3, cli.render_frame_u8))
+    out = tmp_path / "frames"
+    (out / "frame_00002.ppm").mkdir(parents=True)
+    threads = threading.active_count()
+    assert main(render_args(poses, out)) == 2
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert "frame_00002.ppm" in err and "Unable to allocate" not in err
+    assert_frames(out, clean, 2, blocker="frame_00002.ppm")
+
+
+def test_render_pose_keeps_one_frame_in_flight(tmp_path, five_frames,
+                                               monkeypatch):
+    poses, clean = five_frames
+    rendered, done, writers = [], [], set()
+    render, write = cli.render_frame_u8, cli.write_ppm
+
+    def checked_render(*args):
+        # frame k is drawn while frame k - 1 at most is being written
+        assert len(done) >= len(rendered) - 1
+        rendered.append(None)
+        return render(*args)
+
+    def recorded_write(path, image):
+        writers.add(threading.current_thread())
+        write(path, image)
+        done.append(path.name)
+
+    monkeypatch.setattr(cli, "render_frame_u8", checked_render)
+    monkeypatch.setattr(cli, "write_ppm", recorded_write)
+    out = tmp_path / "frames"
+    assert main(render_args(poses, out)) == 0
+    assert done == [f"frame_{i:05d}.ppm" for i in range(5)]
+    assert threading.main_thread() not in writers
+    assert all(not t.is_alive() for t in writers)
+    assert_frames(out, clean, 5)
+
+
+def test_cli_import_loads_no_executor_or_event_loop():
+    # set-up time is measured end to end: the writer uses bare threading
+    src = str(Path(posefuse.__file__).resolve().parent.parent)
+    code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+            "import posefuse.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'asyncio')"
+            " if m in sys.modules))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ---- weight-map ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,15 @@ def test_training_validation():
     samples = make_samples(rng, n=1)
     with pytest.raises(ValueError):
         train_toy_denoiser(samples, np.ones((4, 4)), steps=10, lr=0.0)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf])
+def test_training_rejects_non_finite_lr(lr):
+    # NaN passed the old `lr <= 0` check and trained to NaN parameters
+    rng = np.random.default_rng(25)
+    samples = make_samples(rng, n=1)
+    with pytest.raises(ValueError, match="finite"):
+        train_toy_denoiser(samples, np.ones((4, 4)), steps=10, lr=lr)
 
 
 def hand_region_weights(side_len=8, hand=4):

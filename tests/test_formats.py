@@ -10,8 +10,9 @@ from hypothesis.extra import numpy as hnp
 from posefuse.io_formats import (FormatError, load_posenet_weights,
                                  mmtl_decode_at, mmtl_encode, pgm_encode,
                                  posenet_weights_bytes,
-                                 posenet_weights_from_bytes, ppm_encode,
-                                 save_posenet_weights, weight_map_preview)
+                                 posenet_weights_from_bytes,
+                                 save_posenet_weights, weight_map_preview,
+                                 write_ppm)
 from posefuse.posenet import init_posenet_weights
 
 from conftest import read_mmtl
@@ -149,9 +150,15 @@ def test_mmtl_encode_rejects_empty_dim():
 
 # ---- rasters -----------------------------------------------------------
 
-def test_ppm_header_bytes():
+def ppm_bytes(tmp_path, rgb_u8):
+    path = tmp_path / "image.ppm"
+    write_ppm(path, rgb_u8)
+    return path.read_bytes()
+
+
+def test_ppm_header_bytes(tmp_path):
     img = np.zeros((2, 3, 3), dtype=np.uint8)
-    blob = ppm_encode(img)
+    blob = ppm_bytes(tmp_path, img)
     assert blob.startswith(b"P6\n3 2\n255\n")
     assert len(blob) == 11 + 18
 
@@ -162,31 +169,34 @@ def test_pgm_header_bytes():
     assert blob == b"P5\n3 2\n255\n" + bytes(range(6))
 
 
-def test_raster_roundtrip():
+def test_raster_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     rgb = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
     gray = rng.integers(0, 256, size=(4, 5), dtype=np.uint8)
-    assert ppm_encode(rgb) == b"P6\n5 4\n255\n" + rgb.tobytes()
+    assert ppm_bytes(tmp_path, rgb) == b"P6\n5 4\n255\n" + rgb.tobytes()
     assert pgm_encode(gray) == b"P5\n5 4\n255\n" + gray.tobytes()
 
 
-def test_encoder_validation():
+def test_encoder_validation(tmp_path):
+    path = tmp_path / "bad.ppm"
     with pytest.raises(FormatError):
-        ppm_encode(np.zeros((2, 3, 3), dtype=np.float64))
+        write_ppm(path, np.zeros((2, 3, 3), dtype=np.float64))
     with pytest.raises(FormatError):
-        ppm_encode(np.zeros((2, 3, 4), dtype=np.uint8))
+        write_ppm(path, np.zeros((2, 3, 4), dtype=np.uint8))
+    assert not path.exists()  # rejected before the file is opened
     with pytest.raises(FormatError):
         pgm_encode(np.zeros((2, 3, 1), dtype=np.uint8))
 
 
-def test_encoders_match_tobytes_on_non_contiguous_input():
+def test_encoders_match_tobytes_on_non_contiguous_input(tmp_path):
     # the encoders write the array's C-order bytes, as a.tobytes() does
     rng = np.random.default_rng(5)
     rgb = rng.integers(0, 256, size=(7, 5, 3), dtype=np.uint8)
     for a in (rgb.transpose(1, 0, 2), rgb[::2, ::-1]):
         assert not a.flags.c_contiguous
         h, w = a.shape[:2]
-        assert ppm_encode(a) == f"P6\n{w} {h}\n255\n".encode() + a.tobytes()
+        assert (ppm_bytes(tmp_path, a)
+                == f"P6\n{w} {h}\n255\n".encode() + a.tobytes())
     for a in (rgb[:, :, 0].T, rgb[::-1, ::2, 1]):
         assert not a.flags.c_contiguous
         h, w = a.shape

@@ -1,6 +1,8 @@
 """The benchmark's tracer reads the package from outside: it wraps
 functions on ``posefuse.cli`` and reads ``SegmentPlan`` fields. Run it on
-a small ``longvideo`` workload so a change to either side shows here.
+a small ``longvideo`` workload and on ``render-pose``, whose writer
+thread must call no wrapped function, so a change to either side shows
+here.
 """
 
 import json
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from posefuse import cli, fusion
+
+from conftest import person_keypoints, pose_doc
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402
@@ -54,3 +58,33 @@ def test_tracer_reads_longvideo_runs(tmp_path):
         len(plan) * plan.frames_per_segment * per_frame * 8 / 1e6)
     assert len(traced) == 4 * len(MODES)
     assert traced == run_longvideo(tmp_path, "plain")
+
+
+def run_render_pose(tmp_path, name, poses):
+    out = tmp_path / name
+    assert cli.main(["render-pose", "--poses", str(poses), "--out", str(out),
+                     "--width", "96", "--height", "128"]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_tracer_reads_render_pose_runs(tmp_path):
+    frames = []
+    for f in range(4):
+        kp = person_keypoints()
+        kp[:, 0] += 0.01 * f
+        frames.append(kp)
+    poses = tmp_path / "poses.json"
+    poses.write_bytes(pose_doc(frames))
+    tracer = tracing.Tracer()
+    tracer.install(cli)
+    try:
+        traced = run_render_pose(tmp_path, "traced", poses)
+    finally:
+        tracer.remove()
+    # the tracer keeps one span stack: the only wrapped call is the parse
+    # on the main thread, none comes from the frame writer
+    assert [span[0] for span in tracer.spans] == ["parse_pose_sequence"]
+    assert tracer.values["pose.frames"] == len(frames)
+    assert tracer.values.get("io_formats.mb_out", 0.0) == 0.0
+    assert len(traced) == len(frames)
+    assert traced == run_render_pose(tmp_path, "plain", poses)
