@@ -144,7 +144,7 @@ def posenet_weights_from_bytes(data: bytes) -> PoseNetWeights:
         biases.append(bias.astype(np.float64))
     if offset != len(data):
         raise FormatError("trailing bytes after weight tensors")
-    try:  # shapes that agree with the manifest but not with LAYER_SPECS
+    try:  # shapes that disagree with LAYER_SPECS, or NaN and inf values
         return PoseNetWeights(tuple(kernels), tuple(biases))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -271,6 +271,21 @@ def test_posenet_weights_errors():
         posenet_weights_from_bytes(json.dumps(manifest).encode() + b"\n" + body)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["kernel", "bias"])
+def test_posenet_weights_non_finite_value_is_format_error(part, value):
+    weights = init_posenet_weights(seed=0)
+    kernels, biases = list(weights.kernels), list(weights.biases)
+    tensors = kernels if part == "kernel" else biases
+    tensors[4] = tensors[4].copy()
+    tensors[4].flat[7] = value
+    blob = posenet_weights_bytes(weights)
+    body = b"".join(mmtl_encode(k) + mmtl_encode(b)
+                    for k, b in zip(kernels, biases))
+    with pytest.raises(FormatError, match="mid2"):
+        posenet_weights_from_bytes(blob[:blob.index(b"\n") + 1] + body)
+
+
 VALID_WEIGHTS = posenet_weights_bytes(init_posenet_weights(seed=0))
 _NL = VALID_WEIGHTS.index(b"\n")
 
@@ -350,3 +365,4 @@ def test_posenet_weights_corruption_raises_only_format_error(blob):
         return
     # a corruption that decodes must still give a well-formed weight set
     assert len(weights.kernels) == 9
+    assert all(np.isfinite(t).all() for t in weights.kernels + weights.biases)
