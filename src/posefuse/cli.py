@@ -125,11 +125,16 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     plan = plan_segments(cfg.total_frames, cfg.segment_length,
                          cfg.context_overlap)
     latent_shape = (cfg.latent_channels, cfg.latent_height, cfg.latent_width)
-    # the denoiser and its whole-plan target are freed once the loop ends
-    video = run_long_denoise(_build_denoiser(cfg, plan, latent_shape), None,
-                             plan, cfg.steps, mode, cfg.seed,
-                             latent_shape=latent_shape)
-    profile = frame_difference_profile(video)
+    # the denoiser and its whole-plan target are freed once the loop ends;
+    # floating-point faults surface as non-finite latents, checked below
+    with np.errstate(all="ignore"):
+        video = run_long_denoise(_build_denoiser(cfg, plan, latent_shape),
+                                 None, plan, cfg.steps, mode, cfg.seed,
+                                 latent_shape=latent_shape)
+        profile = frame_difference_profile(video)
+    # any non-finite latent makes a difference next to it non-finite
+    if not np.isfinite(profile).all():
+        raise ValueError("the denoised latents are not finite")
     jump = boundary_jump_metric(profile, plan)
 
     latents = mmtl_encode(video)  # latents past float32 leave no directory

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +105,9 @@ def _validate(cfg: RunConfig) -> None:
     need(cfg.denoiser in DENOISER_KINDS,
          f"denoiser must be one of {DENOISER_KINDS}")
     need(0 < cfg.eta <= 1, "eta must lie in (0, 1]")
-    need(cfg.phase_jitter >= 0, "phase_jitter must be >= 0")
+    # the phase stand-in draws offsets from a range 2 * phase_jitter wide
+    need(0 <= cfg.phase_jitter and math.isfinite(2 * cfg.phase_jitter),
+         "phase_jitter must be >= 0 with 2 * phase_jitter finite")
     need(0 < cfg.period_min < cfg.period_max,
          "need 0 < period_min < period_max")
     need(cfg.sigma0 > 0, "sigma0 must be > 0")

@@ -5,13 +5,13 @@ A long clip of L frames is denoised as overlapping segments of N frames
 frame form one contiguous run, and every overlap index is computed from
 these holder ranges in closed form. Every segment sits at the same noise
 level, so one denoiser call per step updates the whole segment stack.
-After every denoising step the overlapping copies are blended: at
-overlap position k (1-based) the incoming segment gets weight k/(C+1)
-and the outgoing segment the remainder, so each transition inside the
-overlap moves by at most 1/(C+1) of the disagreement. All copies of a
-frame get the same fused value, which keeps segments consistent going
-into the next step. Uniform fusion (plain averaging of all copies) and
-no fusion are kept alongside as ablation baselines.
+After every step each shared frame becomes one weighted average of its
+copies, given to all of them, which keeps segments consistent going
+into the next step. Progressive fusion ramps: at overlap position k
+(1-based) the incoming segment gets weight k/(C+1) and the outgoing
+segment the remainder, so each transition inside the overlap moves by
+at most 1/(C+1) of the disagreement. Uniform fusion (plain averaging of
+all copies) and no fusion are kept alongside as ablation baselines.
 """
 
 from __future__ import annotations
@@ -129,48 +129,53 @@ def _holders(plan: SegmentPlan) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _OverlapTable:
-    """Where every shared frame lives in the (S*N, ...) row view of a stack.
+    """A fusion mode's weights over the (S*N, ...) row view of a stack.
 
-    Frame table entry j describes the j-th shared frame in frame order:
-    ``prev[j]``/``next[j]`` are the rows of its copies in the deciding
-    adjacent pair (the later pair where three or more segments hold the
-    frame), ``w_next[j]``/``w_prev[j]`` that pair's blend weights, shaped
-    (F, 1) to broadcast over a row. ``copies[k]`` is (entries, rows) for
-    the k-th holder in segment order: the ascending entries that have
-    one and that holder's rows; fused values are scattered back to every
-    one of them. ``count`` is the holder count as float (F, 1).
+    Entry j is the j-th shared frame, ``frames[j]``. ``copies[k]`` is
+    (entries, rows, weights) for the k-th holder in segment order: the
+    ascending entries that have one, that holder's rows and its (n, 1)
+    weights, None where all are 1. ``divisor`` is (F, 1), None where
+    every divisor is 1.
     """
 
-    prev: np.ndarray
-    next: np.ndarray
-    w_next: np.ndarray
-    w_prev: np.ndarray
-    copies: tuple[tuple[np.ndarray, np.ndarray], ...]
-    count: np.ndarray
+    frames: np.ndarray
+    copies: tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]
+    divisor: np.ndarray | None
 
 
-def _overlap_table(plan: SegmentPlan) -> _OverlapTable:
+def _overlap_table(plan: SegmentPlan, mode: str) -> _OverlapTable:
+    """Each mode's fusion rule, as weights of a shared frame's holders.
+
+    ``progressive`` gives the later adjacent pair (last - 1, last) the
+    ramp of ``overlap_weights`` at the frame's place in last's overlap,
+    1 - w and w, and any earlier holder 0, over a divisor of 1.
+    ``uniform`` weighs every holder 1 over their count. ``none`` shares
+    no frame.
+    """
+    if mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {mode!r}, expected one of "
+                         f"{FUSION_MODES}")
     n, starts = plan.frames_per_segment, np.asarray(plan.starts)
     first, last = _holders(plan)
-    frames = np.flatnonzero(first < last)
+    frames = np.flatnonzero((first < last) & (mode != "none"))
     first, last = first[frames], last[frames]
     held = last - first + 1
-    # the later pair (last - 1, last) decides; pos: place in its overlap
     pos = frames - starts[last]
-    w_next = overlap_weights(plan.context_overlap,
-                             pos.max(initial=0) + 1)[pos].reshape(-1, 1)
+    ramp = overlap_weights(plan.context_overlap, pos.max(initial=0) + 1)[pos]
     copies = []
     for k in range(held.max(initial=0)):
         entries = np.flatnonzero(held > k)
         holder = first[entries] + k
-        copies.append((entries,
-                       holder * n + frames[entries] - starts[holder]))
-    return _OverlapTable(
-        prev=(last - 1) * n + frames - starts[last - 1],
-        next=last * n + pos,
-        w_next=w_next, w_prev=1.0 - w_next,
-        copies=tuple(copies),
-        count=held.astype(np.float64).reshape(-1, 1))
+        weights = None
+        if mode == "progressive":  # choice 0: last, 1: last - 1, 2: earlier
+            weights = np.choose(np.minimum(last[entries] - holder, 2),
+                                (ramp[entries], 1.0 - ramp[entries], 0.0))
+            weights = weights.reshape(-1, 1)
+        copies.append((entries, holder * n + frames[entries] - starts[holder],
+                       weights))
+    divisor = (held.astype(np.float64).reshape(-1, 1) if mode == "uniform"
+               else None)
+    return _OverlapTable(frames, tuple(copies), divisor)
 
 
 # elements per block of shared frames, so that a block and its scratch
@@ -178,51 +183,45 @@ def _overlap_table(plan: SegmentPlan) -> _OverlapTable:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _fuse_stack(stack: np.ndarray, table: _OverlapTable, mode: str) -> None:
+def _fuse_stack(stack: np.ndarray, table: _OverlapTable) -> None:
     """Fuse a C-contiguous (S, N, ...) float64 stack of segments in place.
 
-    ``progressive`` blends each shared frame's deciding pair,
-    ``uniform`` sums all copies in segment order and divides by their
-    count, ``none`` leaves the stack alone. The overlap table is walked
-    in blocks of shared frames through one (2, block, row) scratch
-    buffer. A block's fused values are computed from the pre-fusion rows
-    before any of its rows is written, and no frame is in two blocks,
-    so every copy of a frame receives the same value.
+    A shared frame becomes the sum of weight * copy over its holders in
+    segment order, over its divisor. The first holder, which holds every
+    shared frame, starts the sum; multiplies by 1 and divides by 1 are
+    skipped, which is exact. The table is walked in blocks of shared
+    frames through one (2, block, row) scratch buffer. A block's fused
+    values are computed from the pre-fusion rows before any of its rows
+    is written, and no frame is in two blocks, so every copy of a frame
+    receives the same value.
     """
-    if mode == "none":
-        return
     rows = stack.reshape(stack.shape[0] * stack.shape[1],
                          math.prod(stack.shape[2:]))
-    frames = len(table.count)
+    frames = len(table.frames)
     block = max(1, _BLOCK_ELEMENTS // rows.shape[1])
     scratch = np.empty((2, min(block, frames), rows.shape[1]))
     for j0 in range(0, frames, block):
         j1 = min(j0 + block, frames)
-        value, other = scratch[:, :j1 - j0]
-        # each holder's entries in this block, and their rows
+        value, part = scratch[:, :j1 - j0]
+        # each holder's entries in this block, their rows and weights
         spans = []
-        for entries, copy_rows in table.copies:
+        for entries, copy_rows, weights in table.copies:
             lo, hi = np.searchsorted(entries, (j0, j1))
             at = slice(None) if hi - lo == j1 - j0 else entries[lo:hi] - j0
-            spans.append((at, copy_rows[lo:hi]))
-        # the indices are in range by construction; "clip" writes straight
-        # into out, where the default "raise" buffers it
-        if mode == "progressive":
-            # w_next * next + w_prev * prev
-            np.take(rows, table.next[j0:j1], axis=0, out=value, mode="clip")
-            value *= table.w_next[j0:j1]
-            np.take(rows, table.prev[j0:j1], axis=0, out=other, mode="clip")
-            other *= table.w_prev[j0:j1]
-            value += other
-        else:
-            # summed from 0.0 in segment order, as np.mean over the copies
-            value.fill(0.0)
-            for at, copy_rows in spans:
-                part = other[:len(copy_rows)]
-                np.take(rows, copy_rows, axis=0, out=part, mode="clip")
-                value[at] += part
-            value /= table.count[j0:j1]
-        for at, copy_rows in spans:
+            spans.append((at, copy_rows[lo:hi],
+                          None if weights is None else weights[lo:hi]))
+        for k, (at, copy_rows, weights) in enumerate(spans):
+            term = part[:len(copy_rows)] if k else value
+            # the indices are in range by construction; "clip" writes
+            # straight into out, where the default "raise" buffers it
+            np.take(rows, copy_rows, axis=0, out=term, mode="clip")
+            if weights is not None:
+                term *= weights
+            if k:
+                value[at] += term
+        if table.divisor is not None:
+            value /= table.divisor[j0:j1]
+        for at, copy_rows, _ in spans:
             rows[copy_rows] = value[at]
 
 
@@ -230,17 +229,16 @@ def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
                   mode: str) -> list[np.ndarray]:
     """Fuse per-segment arrays per mode; returns new float64 arrays.
 
-    ``progressive`` blends each shared frame's copies with the
-    position-ramped weights of ``overlap_weights`` (where a pinned tail
-    puts a frame in three or more segments, the later adjacent pair
-    decides it), ``uniform`` replaces every copy with the mean of all
-    copies and ``none`` returns plain copies. Fused values come from the
-    pre-fusion arrays, and every copy of a frame receives the same one.
+    Each shared frame becomes the weighted average of its copies that
+    ``_overlap_table`` sets out: ``progressive`` ramps across the later
+    adjacent pair of holders by ``overlap_weights``, ``uniform`` is the
+    mean of all copies and ``none`` returns plain copies. Fused values
+    come from the pre-fusion arrays, and every copy of a frame receives
+    the same one.
     """
-    if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}, expected one of {FUSION_MODES}")
+    table = _overlap_table(plan, mode)
     stack = _segment_stack(np.array(latents, dtype=np.float64), plan)
-    _fuse_stack(stack, _overlap_table(plan), mode)
+    _fuse_stack(stack, table)
     return list(stack)
 
 
@@ -254,9 +252,9 @@ def assemble(latents: Sequence[np.ndarray], plan: SegmentPlan) -> np.ndarray:
     A list of segments is stacked whole before the frames are gathered.
     """
     stack = _segment_stack(latents, plan)
-    frames = np.arange(plan.total_frames)
-    last = np.searchsorted(plan.starts, frames, side="right") - 1
-    return stack[last, frames - np.asarray(plan.starts)[last]]
+    _, last = _holders(plan)
+    return stack[last, np.arange(plan.total_frames)
+                 - np.asarray(plan.starts)[last]]
 
 
 StepCallback = Callable[[int, np.ndarray], None]
@@ -287,8 +285,7 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     if len(latent_shape) != 3 or min(latent_shape) < 1:
         raise ValueError(f"latent_shape must be three sizes >= 1, got "
                          f"{tuple(latent_shape)}")
-    if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
+    table = _overlap_table(plan, mode)
     pose = cond.pose_features if cond is not None else None
     if pose is not None and len(pose) != plan.total_frames:
         raise ValueError(f"pose_features hold {len(pose)} frames, expected "
@@ -299,13 +296,12 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     stack = np.empty((len(plan),) + shape)
     for i in range(len(plan)):
         stream_rng(seed, i, 0).standard_normal(shape, out=stack[i])
-    table = _overlap_table(plan)
 
     for t in range(steps, 0, -1):
         if denoiser(stack, cond, t) is not None:
             raise ValueError("a denoiser must update its latents in "
                              "place and return None")
-        _fuse_stack(stack, table, mode)
+        _fuse_stack(stack, table)
         if on_step is not None:
             on_step(t, stack)
     return assemble(stack, plan)

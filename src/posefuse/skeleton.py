@@ -35,7 +35,7 @@ _FACE_COLOR = (204, 204, 204)
 
 
 class LayoutError(ValueError):
-    """A skeleton layout is malformed or lacks a required group."""
+    """A skeleton layout is unknown or lacks a required group."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ class SkeletonLayout:
 
     ``edges`` are (a, b, group) keypoint index pairs drawn as limbs.
     ``bone_tree`` gives the parent index of each keypoint (-1 at the
-    root) and must be acyclic with a single root.
+    root) and must be acyclic with a single root. Construction checks
+    none of this: the only layout is the fixed ``WHOLEBODY_133``.
     """
 
     name: str
@@ -55,42 +56,6 @@ class SkeletonLayout:
     edge_colors: np.ndarray = field(repr=False)      # (E, 3) floats in [0, 1]
     root_index: int = 0
     bone_tree: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        k = self.keypoint_count
-        for a, b, group in self.edges:
-            if not (0 <= a < k and 0 <= b < k):
-                raise LayoutError(f"edge ({a},{b}) out of range for {k} keypoints")
-            if group not in self.groups:
-                raise LayoutError(f"edge group {group!r} not in layout groups")
-        seen: set[int] = set()
-        for name, idxs in self.groups.items():
-            for i in idxs:
-                if i in seen:
-                    raise LayoutError(f"keypoint {i} assigned to more than one group")
-                seen.add(i)
-        if seen != set(range(k)):
-            raise LayoutError("groups must partition all keypoints")
-        if len(self.bone_tree) != k:
-            raise LayoutError("bone_tree length must equal keypoint_count")
-        if self.bone_tree[self.root_index] != -1:
-            raise LayoutError("root keypoint must have parent -1")
-        roots = [i for i, p in enumerate(self.bone_tree) if p == -1]
-        if roots != [self.root_index]:
-            raise LayoutError("bone_tree must have exactly one root")
-        for i, p in enumerate(self.bone_tree):
-            # walk to the root; a cycle would never terminate within k hops
-            hops = 0
-            j = i
-            while j != -1:
-                j = self.bone_tree[j]
-                hops += 1
-                if hops > k:
-                    raise LayoutError("bone_tree contains a cycle")
-        if self.keypoint_colors.shape != (k, 3):
-            raise LayoutError("keypoint_colors must be (K, 3)")
-        if self.edge_colors.shape != (len(self.edges), 3):
-            raise LayoutError("edge_colors must be (E, 3)")
 
     def hand_indices(self, side: str) -> tuple[int, ...]:
         group = {"left": LEFT_HAND, "right": RIGHT_HAND}.get(side)

@@ -1,16 +1,26 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import posefuse
 from posefuse import cli
 from posefuse.cli import main
+from posefuse.config import DENOISER_KINDS, RunConfig
+from posefuse.fusion import FUSION_MODES
 from posefuse.skeleton import WHOLEBODY_133
 
 from conftest import person_keypoints, pose_doc, read_mmtl, read_raster
@@ -516,6 +526,57 @@ def test_longvideo_rejects_unknown_mode(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["longvideo", "--config", str(cfg), "--mode", "blend"])
     assert exc.value.code == 2
+
+
+FLOAT_KEYS = sorted(f.name for f in dataclasses.fields(RunConfig)
+                    if isinstance(getattr(RunConfig(), f.name), float))
+_MAX = sys.float_info.max
+# finite extremes, and the values at or next to each float key's edges
+EXTREME_FLOATS = st.sampled_from([
+    1e308, -1e308, _MAX, -_MAX, 5e-324, -5e-324, 0.0, -0.0,
+    1.0, math.nextafter(1.0, 2.0),                        # eta <= 1
+    24.0, 48.0, math.nextafter(24.0, 48.0), math.nextafter(48.0, 24.0),
+    math.nextafter(48.0, 99.0),                           # the period pair
+    8e307, 9e307, _MAX / 2, math.nextafter(_MAX / 2, _MAX),  # 2 * jitter
+    1e154, 1.3e154, 1e200,                                # sigma0 squared
+]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(denoiser=st.sampled_from(DENOISER_KINDS),
+       mode=st.sampled_from(FUSION_MODES), key=st.sampled_from(FLOAT_KEYS),
+       value=EXTREME_FLOATS)
+@example("phase_smoother", "none", "phase_jitter", 9e307).via(
+    "offset range overflows")
+@example("phase_smoother", "none", "phase_jitter", 8e307).via("runs")
+@example("analytic_gaussian", "uniform", "sigma0", 1.3e154).via(
+    "NaN latents")
+def test_longvideo_extreme_float_runs_finite_or_exits_2(denoiser, mode, key,
+                                                        value):
+    """Either a run with finite metrics, or one error line and no output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = Path(tmp) / "run.json"
+        cfg.write_text(json.dumps({
+            "total_frames": 6, "segment_length": 4, "context_overlap": 2,
+            "steps": 3, "latent_channels": 1, "latent_height": 2,
+            "latent_width": 2, "denoiser": denoiser, key: value,
+            "out_dir": str(out)}), encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["longvideo", "--config", str(cfg), "--mode", mode])
+        assert [str(w.message) for w in caught] == []
+        if rc == 0:
+            assert err.getvalue() == ""
+            metrics = read_metrics(out / mode / "metrics.txt")
+            assert all(math.isfinite(v) for v in metrics.values())
+        else:
+            assert rc == 2
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists()
 
 
 # Recorded from the loop that called the denoiser once per segment; any

@@ -348,12 +348,51 @@ def test_fuse_matches_loop_reference_bitwise(N, data):
 def test_fuse_blocks_split_three_holder_tail_frames():
     plan = plan_segments(37, 16, 6)  # pinned tail: frames 21..25 held thrice
     assert plan.starts == (0, 10, 20, 21)
-    triple = fusion._overlap_table(plan).copies[2][0]
+    triple = fusion._overlap_table(plan, "uniform").copies[2][0]
     assert len(triple) == 5
     for frames_per_block in (1, 2, 3):
         # the three-holder entries straddle at least one block edge
         assert len({int(j) // frames_per_block for j in triple}) > 1
     assert_fuse_matches_loop(seg_noise(plan, shape=(1, 2, 2), seed=3), plan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_geometry)
+@example((37, 16, 6)).via("three holders")
+@example((400, 40, 39)).via("stride 1")
+def test_overlap_table_weights_sum_to_divisor(geometry):
+    plan = plan_segments(*geometry)
+    C, n, starts = plan.context_overlap, plan.frames_per_segment, plan.starts
+    first, last = fusion._holders(plan)
+    shared = np.flatnonzero(first < last)
+    none = fusion._overlap_table(plan, "none")
+    assert none.frames.size == 0 and none.copies == ()
+    for mode in ("progressive", "uniform"):
+        table = fusion._overlap_table(plan, mode)
+        assert table.frames.tolist() == shared.tolist()
+        weights = {j: [] for j in range(len(shared))}  # in segment order
+        for k, (entries, rows, w) in enumerate(table.copies):
+            for m, j in enumerate(entries.tolist()):
+                f = int(shared[j])
+                holder = int(first[f]) + k
+                assert rows[m] == holder * n + f - starts[holder]
+                weights[j].append(1.0 if w is None else float(w[m, 0]))
+        for j, ws in weights.items():
+            f = int(shared[j])
+            assert len(ws) == last[f] - first[f] + 1
+            total = ws[0]
+            for w in ws[1:]:
+                total += w
+            divisor = 1.0 if table.divisor is None else table.divisor[j, 0]
+            assert total == divisor
+            if mode == "uniform":
+                assert ws == [1.0] * len(ws) and divisor == len(ws)
+            else:
+                # C01: the later adjacent pair ramps and sums to 1.0
+                ramp = min((f - starts[last[f]] + 1) / (C + 1), 1.0)
+                assert ws[-1] == ramp and ws[-2] == 1.0 - ramp
+                assert ws[-2] + ws[-1] == 1.0
+                assert ws[:-2] == [0.0] * (len(ws) - 2)
 
 
 # ---- assembly ----------------------------------------------------------

@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 from posefuse.skeleton import (BODY, FACE, FEET, LEFT_HAND, RIGHT_HAND,
-                               WHOLEBODY_133, LayoutError, SkeletonLayout,
-                               get_layout)
+                               WHOLEBODY_133, LayoutError, get_layout)
 
 
 def test_group_sizes():
@@ -41,6 +39,7 @@ def test_edges_in_range_and_counted():
 
 def test_bone_tree_single_root_acyclic():
     tree = WHOLEBODY_133.bone_tree
+    assert len(tree) == 133
     assert tree.count(-1) == 1
     assert tree[WHOLEBODY_133.root_index] == -1
     for i in range(133):
@@ -58,6 +57,11 @@ def test_bone_order_parents_first():
     for i in order:
         assert WHOLEBODY_133.bone_tree[i] in placed
         placed.add(i)
+
+
+def test_color_tables_match_keypoints_and_edges():
+    assert WHOLEBODY_133.keypoint_colors.shape == (133, 3)
+    assert WHOLEBODY_133.edge_colors.shape == (len(WHOLEBODY_133.edges), 3)
 
 
 def test_colors_normalized():
@@ -83,41 +87,3 @@ def test_registry_roundtrip():
     with pytest.raises(LayoutError):
         get_layout("nope")
 
-
-def test_layout_validation_rejects_bad_tree():
-    with pytest.raises(LayoutError):
-        SkeletonLayout(
-            name="cyclic",
-            keypoint_count=2,
-            edges=(),
-            groups={"all": (0, 1)},
-            keypoint_colors=np.zeros((2, 3)),
-            edge_colors=np.zeros((0, 3)),
-            root_index=0,
-            bone_tree=(-1, 1),  # self-parent cycle
-        )
-    with pytest.raises(LayoutError):
-        SkeletonLayout(
-            name="two_roots",
-            keypoint_count=2,
-            edges=(),
-            groups={"all": (0, 1)},
-            keypoint_colors=np.zeros((2, 3)),
-            edge_colors=np.zeros((0, 3)),
-            root_index=0,
-            bone_tree=(-1, -1),
-        )
-
-
-def test_layout_validation_rejects_bad_groups():
-    with pytest.raises(LayoutError):
-        SkeletonLayout(
-            name="gap",
-            keypoint_count=3,
-            edges=(),
-            groups={"all": (0, 1)},  # keypoint 2 unassigned
-            keypoint_colors=np.zeros((3, 3)),
-            edge_colors=np.zeros((0, 3)),
-            root_index=0,
-            bone_tree=(-1, 0, 0),
-        )
