@@ -109,8 +109,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fps", type=float, default=12.0)
     parser.add_argument("--out", required=True, help="output JSON path")
     args = parser.parse_args(argv)
-    if args.frames < 1:
-        parser.error("--frames must be >= 1")
+    for name in ("frames", "width", "height"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be >= 1")
+    if not 0.0 < args.fps < math.inf:
+        parser.error("--fps must be finite and > 0")
 
     doc = build_document(args.frames, args.width, args.height, args.fps)
     with open(args.out, "w", encoding="utf-8") as fh:

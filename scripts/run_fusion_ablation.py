@@ -15,7 +15,6 @@ change. Lower is smoother. Typical output:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -42,14 +41,15 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("total_frames", "steps", "seeds", "channels", "size"):
         if getattr(args, name) < 1:
             parser.error(f"--{name.replace('_', '-')} must be >= 1")
-    if not 0.0 <= args.phase_jitter < math.inf:
-        parser.error("--phase-jitter must be finite and >= 0")
+    shape = (args.channels, args.size, args.size)
     try:
         plan = plan_segments(args.total_frames, args.segment_length,
                              args.context_overlap)
+        # seed 0's instance, built before anything prints
+        denoiser = make_phase_instance(plan, shape, 0,
+                                       phase_jitter=args.phase_jitter)
     except ValueError as err:
         parser.error(str(err))
-    shape = (args.channels, args.size, args.size)
     print(f"plan: {len(plan)} segments of {plan.frames_per_segment} frames, "
           f"starts {list(plan.starts)}")
 
@@ -59,8 +59,9 @@ def main(argv: list[str] | None = None) -> int:
     wins_uniform = 0
     t0 = time.perf_counter()
     for seed in range(args.seeds):
-        denoiser = make_phase_instance(plan, shape, seed,
-                                       phase_jitter=args.phase_jitter)
+        if seed:
+            denoiser = make_phase_instance(plan, shape, seed,
+                                           phase_jitter=args.phase_jitter)
         jumps = {}
         for mode in FUSION_MODES:
             video = run_long_denoise(denoiser, None, plan, args.steps, mode,

@@ -17,7 +17,8 @@ import sys
 
 import numpy as np
 
-from posefuse.diffusion import train_toy_denoiser, weighted_eps_loss
+from posefuse.diffusion import (TrainingDiverged, train_toy_denoiser,
+                                weighted_eps_loss)
 
 
 def region_mse(params, samples, mask: np.ndarray) -> tuple[float, float]:
@@ -60,11 +61,16 @@ def main(argv: list[str] | None = None) -> int:
         "uniform": np.ones((8, 8)),
         f"hand x{args.w_hand:g}": np.where(mask, args.w_hand, 1.0),
     }
+    try:  # train both before printing, so a diverged run prints nothing
+        trained = {name: train_toy_denoiser(samples, w, args.steps, args.lr)[0]
+                   for name, w in weightings.items()}
+    except TrainingDiverged as err:
+        parser.error(f"{err}; try a lower --lr")
     print(f"{'weighting':>12} {'hand MSE':>10} {'elsewhere':>10} "
           f"{'train loss':>11} {'a':>8} {'b':>8}")
     results = {}
     for name, w in weightings.items():
-        params, trace = train_toy_denoiser(samples, w, args.steps, args.lr)
+        params = trained[name]
         hand, rest = region_mse(params, samples, mask)
         loss = np.mean([weighted_eps_loss(params.predict(x), e, w)
                         for x, e, _ in samples])

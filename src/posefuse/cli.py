@@ -121,7 +121,6 @@ def _build_denoiser(cfg: RunConfig, plan, latent_shape):
 
 def _cmd_longvideo(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
-    mode = args.mode if args.mode is not None else cfg.mode
     plan = plan_segments(cfg.total_frames, cfg.segment_length,
                          cfg.context_overlap)
     latent_shape = (cfg.latent_channels, cfg.latent_height, cfg.latent_width)
@@ -129,7 +128,7 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     # floating-point faults surface as non-finite latents, checked below
     with np.errstate(all="ignore"):
         video = run_long_denoise(_build_denoiser(cfg, plan, latent_shape),
-                                 None, plan, cfg.steps, mode, cfg.seed,
+                                 None, plan, cfg.steps, args.mode, cfg.seed,
                                  latent_shape=latent_shape)
         profile = frame_difference_profile(video)
     # any non-finite latent makes a difference next to it non-finite
@@ -138,7 +137,7 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     jump = boundary_jump_metric(profile, plan)
 
     latents = mmtl_encode(video)  # latents past float32 leave no directory
-    out = Path(cfg.out_dir) / mode
+    out = Path(cfg.out_dir) / args.mode
     out.mkdir(parents=True, exist_ok=True)
     (out / "latents.mmtl").write_bytes(latents)
     (out / "plan.txt").write_text(format_plan(plan) + "\n", encoding="ascii")
@@ -181,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("longvideo",
                        help="segmented denoising with latent fusion")
     p.add_argument("--config", required=True, help="JSON run configuration")
-    p.add_argument("--mode", choices=FUSION_MODES,
-                   default=None, help="override the config's fusion mode")
+    p.add_argument("--mode", choices=FUSION_MODES, default="progressive")
     p.set_defaults(func=_cmd_longvideo)
     return parser
 

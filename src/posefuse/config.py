@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fusion import FUSION_MODES, _segment_count
+from .fusion import _segment_count
 from .pose import _finite_number
 from .render import MAX_ELEMENTS
 
@@ -30,7 +30,6 @@ class RunConfig:
     segment_length: int = 16
     context_overlap: int = 6
     steps: int = 25
-    mode: str = "progressive"
     seed: int = 0
     # per-frame latent dims
     latent_channels: int = 4
@@ -91,7 +90,6 @@ def _validate(cfg: RunConfig) -> None:
     need(0 < cfg.context_overlap < cfg.segment_length,
          "overlap must be smaller than segment length")
     need(cfg.steps >= 1, "steps must be >= 1")
-    need(cfg.mode in FUSION_MODES, f"mode must be one of {FUSION_MODES}")
     need(0 <= cfg.seed < 2 ** 64, "seed must fit in 64 bits")
     need(cfg.latent_channels >= 1 and cfg.latent_height >= 1
          and cfg.latent_width >= 1, "latent dims must be >= 1")

@@ -300,6 +300,10 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     lo, hi = period_range
     if not 0 < lo < hi:
         raise ValueError("period_range must be increasing and positive")
+    # the segment offsets are drawn from a range 2 * phase_jitter wide
+    if not (phase_jitter >= 0 and math.isfinite(2 * phase_jitter)):
+        raise ValueError("phase_jitter must be >= 0 with 2 * phase_jitter "
+                         "finite")
     shape = tuple(latent_shape)
     period = stream_rng(seed, 100).uniform(lo, hi, size=shape)
     pixel_phase = stream_rng(seed, 101).uniform(0.0, 2.0 * math.pi, size=shape)

@@ -77,9 +77,6 @@ class PoseSequence:
     def __post_init__(self):
         if not self.frames:
             raise PoseParseError("pose sequence must contain at least one frame")
-        layouts = {f.layout.name for f in self.frames}
-        if len(layouts) != 1:
-            raise PoseParseError(f"frames mix layouts: {sorted(layouts)}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -212,15 +209,12 @@ def retarget_limb_lengths(template: PoseSequence, reference: PoseFrame,
             continue
         ratios[child] = ref_len / tmpl_len
 
-    order = layout.bone_children_in_order()
-    out_frames = []
-    for frame in template.frames:
-        old = frame.data[:, :2]
-        new = old.copy()
-        for child in order:
-            p = parents[child]
-            bone = old[child] - old[p]
-            new[child] = new[p] + bone * ratios[child]
-        data = np.column_stack([new, frame.conf])
-        out_frames.append(PoseFrame(data, layout))
-    return replace(template, frames=tuple(out_frames))
+    # every parent index is below its child's (see SkeletonLayout), so one
+    # pass in index order moves all frames at once
+    old = np.stack([frame.data for frame in template.frames])
+    new = old.copy()
+    for child, p in enumerate(parents):
+        if p >= 0:
+            bone = old[:, child, :2] - old[:, p, :2]
+            new[:, child, :2] = new[:, p, :2] + bone * ratios[child]
+    return replace(template, frames=tuple(PoseFrame(d, layout) for d in new))

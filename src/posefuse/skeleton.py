@@ -35,7 +35,7 @@ _FACE_COLOR = (204, 204, 204)
 
 
 class LayoutError(ValueError):
-    """A skeleton layout is unknown or lacks a required group."""
+    """A skeleton layout or hand side is unknown."""
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,11 @@ class SkeletonLayout:
     """Fixed keypoint convention: indices, limb edges, colors, bone tree.
 
     ``edges`` are (a, b, group) keypoint index pairs drawn as limbs.
-    ``bone_tree`` gives the parent index of each keypoint (-1 at the
-    root) and must be acyclic with a single root. Construction checks
-    none of this: the only layout is the fixed ``WHOLEBODY_133``.
+    ``bone_tree`` gives the parent index of each keypoint: -1 at the
+    root, index 0, and otherwise an index smaller than the child's, so
+    walking keypoints in index order visits every parent before its
+    children. Construction checks none of this: the only layout is the
+    fixed ``WHOLEBODY_133``.
     """
 
     name: str
@@ -54,28 +56,13 @@ class SkeletonLayout:
     groups: dict[str, tuple[int, ...]] = field(repr=False)
     keypoint_colors: np.ndarray = field(repr=False)  # (K, 3) floats in [0, 1]
     edge_colors: np.ndarray = field(repr=False)      # (E, 3) floats in [0, 1]
-    root_index: int = 0
     bone_tree: tuple[int, ...] = ()
 
     def hand_indices(self, side: str) -> tuple[int, ...]:
         group = {"left": LEFT_HAND, "right": RIGHT_HAND}.get(side)
         if group is None:
             raise LayoutError(f"unknown hand side {side!r}")
-        if group not in self.groups:
-            raise LayoutError(f"layout {self.name!r} has no {group} group")
         return self.groups[group]
-
-    def bone_children_in_order(self) -> tuple[int, ...]:
-        """Keypoints ordered so every parent precedes its children."""
-        order: list[int] = []
-        remaining = set(range(self.keypoint_count)) - {self.root_index}
-        placed = {self.root_index}
-        while remaining:
-            progress = [i for i in remaining if self.bone_tree[i] in placed]
-            order.extend(sorted(progress))
-            placed.update(progress)
-            remaining.difference_update(progress)
-        return tuple(order)
 
 
 def _build_wholebody_133() -> SkeletonLayout:
@@ -152,7 +139,6 @@ def _build_wholebody_133() -> SkeletonLayout:
                 LEFT_HAND: left_hand, RIGHT_HAND: right_hand},
         keypoint_colors=np.array(kp_colors, dtype=np.float64) / 255.0,
         edge_colors=np.array(edge_colors, dtype=np.float64) / 255.0,
-        root_index=0,
         bone_tree=tuple(parent),
     )
 

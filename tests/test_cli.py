@@ -319,6 +319,19 @@ def test_cli_import_loads_no_executor_or_event_loop():
     assert result.stdout.strip() == "[]"
 
 
+def test_package_import_binds_only_its_version():
+    # submodules are the import surface; the package loads none of them
+    src = str(Path(posefuse.__file__).resolve().parent.parent)
+    code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+            "import posefuse\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('posefuse.')))\n"
+            "print(posefuse.__version__)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.split("\n")[:2] == ["[]", posefuse.__version__]
+
+
 # ---- weight-map ------------------------------------------------------------
 
 def test_weight_map_outputs(tmp_path, pose_file):

@@ -17,14 +17,13 @@ def test_defaults_are_valid():
     cfg = config_from_dict({})
     assert cfg == RunConfig()
     assert cfg.total_frames == 36
-    assert cfg.mode == "progressive"
 
 
 def test_partial_override():
-    cfg = config_from_dict({"total_frames": 48, "mode": "uniform",
-                            "eta": 0.5})
+    cfg = config_from_dict({"total_frames": 48,
+                            "denoiser": "analytic_gaussian", "eta": 0.5})
     assert cfg.total_frames == 48
-    assert cfg.mode == "uniform"
+    assert cfg.denoiser == "analytic_gaussian"
     assert cfg.eta == 0.5
     assert cfg.segment_length == 16  # untouched default
 
@@ -75,8 +74,8 @@ def test_type_strictness():
     for value in ("0.5", [1], None):
         with pytest.raises(ConfigError, match="eta: expected float"):
             config_from_dict({"eta": value})
-    with pytest.raises(ConfigError, match="mode: expected str"):
-        config_from_dict({"mode": 3})
+    with pytest.raises(ConfigError, match="denoiser: expected str"):
+        config_from_dict({"denoiser": 3})
 
 
 def test_int_promoted_for_float_fields():
@@ -90,7 +89,8 @@ def test_int_promoted_for_float_fields():
     ({"context_overlap": 0}, "overlap must be smaller than segment length"),
     ({"total_frames": 0}, "total_frames"),
     ({"steps": 0}, "steps"),
-    ({"mode": "blend"}, "mode must be one of"),
+    # the fusion mode is longvideo's --mode flag, not a config key
+    ({"mode": "progressive"}, "unknown config keys: mode"),
     ({"seed": -1}, "seed"),
     ({"latent_channels": 0}, "latent dims"),
     ({"denoiser": "unet"}, "denoiser must be one of"),

@@ -638,6 +638,11 @@ def test_phase_instance_validation():
         make_phase_instance(plan, (1, 2, 2), 0, eta=0.0)
     with pytest.raises(ValueError):
         make_phase_instance(plan, (1, 2, 2), 0, period_range=(10.0, 5.0))
+    # offsets are drawn from a range 2 * phase_jitter wide
+    for jitter in (-0.1, math.nan, math.inf, 9e307):
+        with pytest.raises(ValueError, match="phase_jitter"):
+            make_phase_instance(plan, (1, 2, 2), 0, phase_jitter=jitter)
+    make_phase_instance(plan, (1, 2, 2), 0, phase_jitter=8e307)
     den = make_phase_instance(plan, (1, 2, 2), 0)
     with pytest.raises(ValueError):
         den(np.zeros((16, 1, 3, 3)), Condition(), 1)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posefuse.pose import (PoseFrame, PoseParseError, parse_pose_sequence,
-                           retarget_limb_lengths)
-from posefuse.skeleton import LayoutError, SkeletonLayout
+from posefuse.pose import (PoseFrame, PoseParseError, PoseSequence,
+                           parse_pose_sequence, retarget_limb_lengths)
+from posefuse.skeleton import WHOLEBODY_133, LayoutError, SkeletonLayout
 
 from conftest import norm_frame, person_keypoints, pose_doc
 
@@ -132,13 +132,11 @@ def _chain3() -> SkeletonLayout:
         groups={"all": (0, 1, 2)},
         keypoint_colors=np.ones((3, 3)),
         edge_colors=np.ones((2, 3)),
-        root_index=0,
         bone_tree=(-1, 0, 1),
     )
 
 
 def _chain_seq(xs, layout, conf=1.0):
-    from posefuse.pose import PoseSequence
     data = np.array([[x, 0.5, conf] for x in xs])
     return PoseSequence((PoseFrame(data, layout),), 100, 100)
 
@@ -172,7 +170,7 @@ def test_retarget_low_confidence_bones_keep_length():
 def test_retarget_root_and_confidence_preserved(person_seq):
     ref = person_seq.frames[0]
     scaled = ref.data.copy()
-    root = person_seq.layout.root_index
+    root = 0
     scaled[:, :2] = (scaled[:, :2] - scaled[root, :2]) * 2.0 + scaled[root, :2]
     out = retarget_limb_lengths(person_seq, PoseFrame(scaled, person_seq.layout))
     for before, after in zip(person_seq.frames, out.frames):
@@ -183,7 +181,7 @@ def test_retarget_root_and_confidence_preserved(person_seq):
 
 def test_retarget_uniform_scale_doubles_bone_lengths(person_seq):
     ref = person_seq.frames[0]
-    root = person_seq.layout.root_index
+    root = 0
     scaled = ref.data.copy()
     scaled[:, :2] = (scaled[:, :2] - scaled[root, :2]) * 2.0 + scaled[root, :2]
     out = retarget_limb_lengths(person_seq, PoseFrame(scaled, person_seq.layout))
@@ -240,6 +238,86 @@ def test_retarget_zero_length_template_bone_warns(caplog):
     assert any("zero length" in r.message for r in caplog.records)
     # degenerate bone unscaled; downstream bone still rescaled (0.2 -> 0.1)
     np.testing.assert_allclose(out.frames[0].x, [0.5, 0.5, 0.6], atol=1e-12)
+
+
+def reference_retarget(template, reference, conf_floor=0.3):
+    """The per-frame walk in breadth-first bone order, the reference for
+    retarget_limb_lengths' bits."""
+    parents = template.layout.bone_tree
+    base = template.frames[0]
+    ratios = np.ones(len(parents))
+    for child, p in enumerate(parents):
+        if p < 0 or min(reference.conf[child], reference.conf[p]) < conf_floor:
+            continue
+        ref_len = math.hypot(reference.x[child] - reference.x[p],
+                             reference.y[child] - reference.y[p])
+        tmpl_len = math.hypot(base.x[child] - base.x[p],
+                              base.y[child] - base.y[p])
+        if tmpl_len != 0.0:
+            ratios[child] = ref_len / tmpl_len
+    order, placed = [], {0}
+    remaining = set(range(len(parents))) - placed
+    while remaining:
+        ready = sorted(i for i in remaining if parents[i] in placed)
+        order.extend(ready)
+        placed.update(ready)
+        remaining.difference_update(ready)
+    frames = []
+    for frame in template.frames:
+        old = frame.data[:, :2]
+        new = old.copy()
+        for child in order:
+            p = parents[child]
+            new[child] = new[p] + (old[child] - old[p]) * ratios[child]
+        frames.append(np.column_stack([new, frame.conf]))
+    return frames
+
+
+def assert_retarget_bits(template, reference, conf_floor=0.3):
+    got = retarget_limb_lengths(template, reference, conf_floor)
+    want = reference_retarget(template, reference, conf_floor)
+    assert len(got.frames) == len(want)
+    for frame, data in zip(got.frames, want):
+        np.testing.assert_array_equal(frame.data.view(np.uint64),
+                                      data.view(np.uint64))
+
+
+def test_retarget_bits_match_per_frame_walk_chain3():
+    layout = _chain3()
+    reference = PoseFrame(np.array([[0.1, 0.5, 1.0], [0.3, 0.5, 1.0],
+                                    [0.4, 0.5, 0.1]]), layout)
+    for xs in ([0.5, 0.6, 0.7], [0.5, 0.5, 0.7]):  # the second: zero length
+        template = _chain_seq(xs, layout)
+        for floor in (0.0, 0.3):  # the 1->2 bone above and below the floor
+            assert_retarget_bits(template, reference, floor)
+
+
+def test_retarget_bits_match_per_frame_walk(person_seq):
+    rng = np.random.default_rng(5)
+    ref = person_seq.frames[0].data.copy()
+    ref[:, :2] += rng.normal(scale=0.01, size=(133, 2))
+    assert_retarget_bits(person_seq, PoseFrame(ref, person_seq.layout))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_retarget_bits_match_per_frame_walk_random(seed):
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(4):
+        data = person_keypoints()
+        data[:, :2] += rng.normal(scale=0.02, size=(133, 2))
+        frames.append(PoseFrame(data, WHOLEBODY_133))
+    # zero-length template bones: a wrist on its elbow, a fingertip on
+    # the joint below it, in the first frame only
+    first = frames[0].data.copy()
+    first[9, :2] = first[7, :2]
+    first[94, :2] = first[93, :2]
+    frames[0] = PoseFrame(first, WHOLEBODY_133)
+    template = PoseSequence(tuple(frames), 576, 1024)
+    ref = np.column_stack([rng.uniform(0.0, 1.0, size=(133, 2)),
+                           rng.uniform(0.0, 1.0, size=133)])
+    assert (ref[:, 2] < 0.3).any()  # some bones fall below the floor
+    assert_retarget_bits(template, PoseFrame(ref, WHOLEBODY_133))
 
 
 def test_retarget_layout_mismatch():

@@ -61,7 +61,7 @@ def test_train_hand_weighted(capsys):
     ("run_fusion_ablation", ["--total-frames", "0"],
      "--total-frames must be >= 1"),
     ("run_fusion_ablation", ["--phase-jitter", "nan"],
-     "--phase-jitter must be finite"),
+     "phase_jitter must be >= 0 with 2 * phase_jitter finite"),
     ("run_fusion_ablation", ["--context-overlap", "16"],
      "overlap must be smaller than segment length"),
     ("train_hand_weighted", ["--steps", "-5"], "--steps must be >= 1"),
@@ -71,8 +71,24 @@ def test_train_hand_weighted(capsys):
     ("train_hand_weighted", ["--w-hand", "inf"],
      "--w-hand must be finite and > 0"),
     ("train_hand_weighted", ["--seed", "-1"], "--seed must be >= 0"),
+    # 2 * 9e307 overflows the range the segment offsets are drawn from
+    ("run_fusion_ablation", ["--phase-jitter", "9e307"],
+     "phase_jitter must be >= 0 with 2 * phase_jitter finite"),
+    ("train_hand_weighted", ["--lr", "1e3", "--steps", "50"],
+     "try a lower --lr"),
+    # documents the CLI would refuse
+    ("make_demo_poses", ["--width", "0", "--out", "unused.json"],
+     "--width must be >= 1"),
+    ("make_demo_poses", ["--height", "-1", "--out", "unused.json"],
+     "--height must be >= 1"),
+    ("make_demo_poses", ["--fps", "0", "--out", "unused.json"],
+     "--fps must be finite and > 0"),
+    ("make_demo_poses", ["--fps", "nan", "--out", "unused.json"],
+     "--fps must be finite and > 0"),
 ])
-def test_scripts_reject_out_of_range_arguments(name, args, message, capsys):
+def test_scripts_reject_out_of_range_arguments(name, args, message, capsys,
+                                              tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a script that wrongly runs writes here
     with pytest.raises(SystemExit) as exit_info:
         load_script(name).main(args)
     assert exit_info.value.code == 2

@@ -41,7 +41,7 @@ def test_bone_tree_single_root_acyclic():
     tree = WHOLEBODY_133.bone_tree
     assert len(tree) == 133
     assert tree.count(-1) == 1
-    assert tree[WHOLEBODY_133.root_index] == -1
+    assert tree[0] == -1
     for i in range(133):
         j, hops = i, 0
         while j != -1:
@@ -51,12 +51,10 @@ def test_bone_tree_single_root_acyclic():
 
 
 def test_bone_order_parents_first():
-    order = WHOLEBODY_133.bone_children_in_order()
-    assert sorted(order) == [i for i in range(133) if i != 0]
-    placed = {WHOLEBODY_133.root_index}
-    for i in order:
-        assert WHOLEBODY_133.bone_tree[i] in placed
-        placed.add(i)
+    # retargeting walks the tree in index order and relies on this
+    for child, parent in enumerate(WHOLEBODY_133.bone_tree):
+        assert parent < child
+        assert (parent == -1) == (child == 0)
 
 
 def test_color_tables_match_keypoints_and_edges():
