@@ -115,10 +115,14 @@ def main(argv: list[str] | None = None) -> int:
     if not 0.0 < args.fps < math.inf:
         parser.error("--fps must be finite and > 0")
 
-    doc = build_document(args.frames, args.width, args.height, args.fps)
+    try:  # a size past float range fails the scaling or the dump
+        text = json.dumps(build_document(args.frames, args.width, args.height,
+                                         args.fps), allow_nan=False)
+    except (OverflowError, ValueError):
+        parser.error("--width and --height must scale every keypoint to a "
+                     "finite float")
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(f"wrote {args.frames} frames ({args.width}x{args.height}) to {args.out}")
     return 0
 

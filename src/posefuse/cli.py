@@ -14,6 +14,10 @@ disk with ``write_ppm``, straight from the image's buffer. The writer
 is joined before the next frame is handed over and before the command
 returns, so a failed write is raised in frame order and no later frame
 is written. The writer calls nothing but ``write_ppm``.
+
+``longvideo`` splits the loop's stages across two cores through
+``diffusion._halves``: its helper thread starts on first use, lives for
+the rest of the process and holds no array between calls.
 """
 
 from __future__ import annotations
@@ -126,6 +130,7 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     latent_shape = (cfg.latent_channels, cfg.latent_height, cfg.latent_width)
     # the denoiser and its whole-plan target are freed once the loop ends;
     # floating-point faults surface as non-finite latents, checked below
+    # (the helper thread's halves run under this errstate too)
     with np.errstate(all="ignore"):
         video = run_long_denoise(_build_denoiser(cfg, plan, latent_shape),
                                  None, plan, cfg.steps, args.mode, cfg.seed,

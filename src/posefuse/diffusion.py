@@ -7,11 +7,20 @@ Toy denoisers satisfy the same call contract as the real video model,
 (latents, condition, step) -> None with the latents updated in place,
 and stand in for it everywhere; the long-video loop hands them its
 whole (S, N, C, H, W) segment stack in one call per step.
+
+The long-video stages split their work in two with ``_halves``: the
+first half runs on one helper thread, started on first use and kept for
+the life of the process, while the caller runs the second. The pull
+denoiser splits its chunks and the phase instance its target build this
+way; each element is still computed once, by the same operations, so
+the bits do not depend on the split.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -210,8 +219,77 @@ class Condition:
 # A denoiser overwrites the latents it is handed and returns None.
 Denoiser = Callable[[np.ndarray, Condition, int], None]
 
+
+class _Helper:
+    """The daemon thread that runs the first half of a ``_halves`` call.
+
+    ``go`` and ``done`` are locks used as one-shot signals: the caller
+    releases ``go`` once ``task`` is set, and the helper releases
+    ``done`` once it has run the task and dropped its references to it,
+    so no array outlives the call through the helper.
+    """
+
+    def __init__(self):
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.task = None
+        self.error: BaseException | None = None
+        self.thread = threading.Thread(target=self._serve, daemon=True,
+                                       name="posefuse-halves")
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.go.acquire()
+            context, fn, stop = self.task
+            self.task = None
+            try:
+                context.run(fn, 0, stop)
+            except BaseException as exc:  # raised again by _halves
+                self.error = exc
+            del context, fn
+            self.done.release()
+
+
+_helper: _Helper | None = None
+_helper_lock = threading.Lock()  # one _halves call at a time
+
+
+def _halves(fn: Callable[[int, int], None], n: int) -> None:
+    """Run fn(0, n // 2) on the helper thread and fn(n // 2, n) here.
+
+    The halves run at the same time and must write disjoint data. The
+    helper's half runs in a copy of the caller's context, so numpy's
+    ``errstate`` holds in both. Returns once both halves are done, and
+    raises the helper's error if the caller's half raised none. A helper
+    lost to ``fork``, or left running by an interrupted wait, is
+    replaced by a fresh one.
+    """
+    global _helper
+    half = n // 2
+    if half == 0:
+        fn(0, n)
+        return
+    with _helper_lock:
+        helper = _helper
+        if helper is None or not helper.thread.is_alive():
+            helper = _Helper()
+        _helper = None  # until this call's wait completes
+        helper.task = (contextvars.copy_context(), fn, half)
+        helper.go.release()
+        try:
+            fn(half, n)
+        finally:
+            helper.done.acquire()
+            _helper = helper
+            error, helper.error = helper.error, None
+        if error is not None:
+            raise error
+
+
 # elements per chunk of the in-place pull; a private constant, not an option
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 
 
 def _pull_denoiser(target: np.ndarray, eta: float) -> Denoiser:
@@ -219,15 +297,16 @@ def _pull_denoiser(target: np.ndarray, eta: float) -> Denoiser:
 
     The target has the latents' shape and does not depend on the step.
     The update runs ``b = target - z; b *= eta; z += b`` over chunks of
-    _CHUNK elements through one buffer kept for the denoiser's lifetime,
-    so calls must not overlap. IEEE addition and multiplication
-    commute, so z ends up with the bits of ``z + eta * (target - z)``.
+    _CHUNK elements, split into two halves by ``_halves``; each half has
+    one chunk buffer kept for the denoiser's lifetime, so calls must not
+    overlap. IEEE addition and multiplication commute, so z ends up with
+    the bits of ``z + eta * (target - z)``.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     target = np.ascontiguousarray(target, dtype=np.float64)
     flat_target = target.reshape(-1)
-    buf = np.empty(_CHUNK)
+    bufs = np.empty((2, _CHUNK))
 
     def pull(z: np.ndarray, cond: Condition, t: int) -> None:
         if z.shape != target.shape:
@@ -235,12 +314,17 @@ def _pull_denoiser(target: np.ndarray, eta: float) -> Denoiser:
         if not z.flags.c_contiguous:
             raise ValueError("latents must be C-contiguous to update in place")
         flat_z = z.reshape(-1)
-        for a in range(0, flat_z.size, _CHUNK):
-            zc = flat_z[a:a + _CHUNK]
-            b = buf[:zc.size]
-            np.subtract(flat_target[a:a + _CHUNK], zc, out=b)
-            b *= eta
-            zc += b
+
+        def pull_chunks(lo: int, hi: int) -> None:
+            buf = bufs[min(lo, 1)]  # the helper's half starts at chunk 0
+            for a in range(lo * _CHUNK, hi * _CHUNK, _CHUNK):
+                zc = flat_z[a:a + _CHUNK]
+                b = buf[:zc.size]
+                np.subtract(flat_target[a:a + _CHUNK], zc, out=b)
+                b *= eta
+                zc += b
+
+        _halves(pull_chunks, -(-flat_z.size // _CHUNK))
 
     return pull
 
@@ -295,7 +379,8 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     segment stack a fraction eta toward each segment's version of the
     trajectory per step, so without fusion the seams keep a phase
     mismatch while fusion reconciles them. The target does not depend
-    on the step, so it is built once, here, for every slot of the plan.
+    on the step, so it is built once, here, for every slot of the plan,
+    each half of the segments by one side of ``_halves``.
     """
     lo, hi = period_range
     if not 0 < lo < hi:
@@ -310,8 +395,16 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     seg_phase = stream_rng(seed, 102).uniform(-phase_jitter, phase_jitter,
                                               size=len(plan))
 
-    # 2 pi f / period + pixel_phase + seg_phase, then sin, in place
-    target = 2.0 * math.pi * plan.frame_index[..., None, None, None] / period
-    target += pixel_phase
-    target += seg_phase[:, None, None, None, None]
-    return _pull_denoiser(np.sin(target, out=target), eta)
+    frame_index = plan.frame_index[..., None, None, None]
+    target = np.empty(frame_index.shape[:2] + shape)
+
+    def build(lo: int, hi: int) -> None:
+        # 2 pi f / period + pixel_phase + seg_phase, then sin, in place
+        part = target[lo:hi]
+        np.divide(2.0 * math.pi * frame_index[lo:hi], period, out=part)
+        part += pixel_phase
+        part += seg_phase[lo:hi, None, None, None, None]
+        np.sin(part, out=part)
+
+    _halves(build, len(plan))
+    return _pull_denoiser(target, eta)

@@ -12,6 +12,13 @@ into the next step. Progressive fusion ramps: at overlap position k
 segment the remainder, so each transition inside the overlap moves by
 at most 1/(C+1) of the disagreement. Uniform fusion (plain averaging of
 all copies) and no fusion are kept alongside as ablation baselines.
+
+The loop runs on two cores. The initial noise draws (split over
+segments) and the fusion walk (split over shared frames) each run as
+two halves through ``diffusion._halves``, one on its helper thread and
+one on the caller's, while the denoiser is still called once per step
+from the caller's thread. No frame belongs to both halves, so the bits
+are those of a single-threaded run.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import Condition, Denoiser
+from .diffusion import Condition, Denoiser, _halves
 from .seeding import stream_rng
 
 FUSION_MODES = ("progressive", "uniform", "none")
@@ -179,50 +186,86 @@ def _overlap_table(plan: SegmentPlan, mode: str) -> _OverlapTable:
 
 
 # elements per block of shared frames, so that a block and its scratch
-# stay cache-sized; a private constant, not an option
-_BLOCK_ELEMENTS = 1 << 16
+# stay cache-sized on each of the two halves; a private constant, not an
+# option
+_BLOCK_ELEMENTS = 1 << 15
+
+# (j0, j1, spans) for entries j0..j1 - 1; each holder's span is where its
+# entries sit in the block (all of it, or an index array), their rows and
+# their (n, 1) weights or None
+_Block = tuple[int, int, tuple[tuple[slice | np.ndarray, np.ndarray,
+                                     np.ndarray | None], ...]]
 
 
-def _fuse_stack(stack: np.ndarray, table: _OverlapTable) -> None:
+def _fusion_blocks(table: _OverlapTable, row: int) -> tuple[_Block, ...]:
+    """The table's entries cut into blocks (j0, j1, spans).
+
+    Blocks of at most ``_BLOCK_ELEMENTS // row`` shared frames (at least
+    one) are cut from entry 0 and from entry F // 2, so no block
+    straddles the two halves ``_halves`` splits the F entries into.
+    ``spans`` gives each holder's part of the block in segment order.
+    Built once per fused stack shape, so a step's walk runs no search.
+    """
+    frames = len(table.frames)
+    block = max(1, _BLOCK_ELEMENTS // row)
+    half = frames // 2
+    starts = [*range(0, half, block), *range(half, frames, block)]
+    blocks = []
+    for j0, j1 in zip(starts, starts[1:] + [frames]):
+        spans = []
+        for entries, copy_rows, weights in table.copies:
+            a, b = np.searchsorted(entries, (j0, j1))
+            at = slice(None) if b - a == j1 - j0 else entries[a:b] - j0
+            spans.append((at, copy_rows[a:b],
+                          None if weights is None else weights[a:b]))
+        blocks.append((j0, j1, tuple(spans)))
+    return tuple(blocks)
+
+
+def _fuse_stack(stack: np.ndarray, table: _OverlapTable,
+                blocks: tuple[_Block, ...]) -> None:
     """Fuse a C-contiguous (S, N, ...) float64 stack of segments in place.
 
     A shared frame becomes the sum of weight * copy over its holders in
     segment order, over its divisor. The first holder, which holds every
     shared frame, starts the sum; multiplies by 1 and divides by 1 are
-    skipped, which is exact. The table is walked in blocks of shared
-    frames through one (2, block, row) scratch buffer. A block's fused
-    values are computed from the pre-fusion rows before any of its rows
-    is written, and no frame is in two blocks, so every copy of a frame
-    receives the same value.
+    skipped, which is exact. ``_halves`` splits the shared frames in
+    two, and each half walks its own ``blocks`` (from ``_fusion_blocks``
+    for this table and row size) through its own (2, block, row) scratch
+    buffer. A block's fused values are computed from the pre-fusion rows
+    before any of its rows is written, and no frame is in two blocks, so
+    every copy of a frame receives the same value and the halves touch
+    disjoint rows.
     """
+    frames = len(table.frames)
+    if not frames:
+        return
     rows = stack.reshape(stack.shape[0] * stack.shape[1],
                          math.prod(stack.shape[2:]))
-    frames = len(table.frames)
-    block = max(1, _BLOCK_ELEMENTS // rows.shape[1])
-    scratch = np.empty((2, min(block, frames), rows.shape[1]))
-    for j0 in range(0, frames, block):
-        j1 = min(j0 + block, frames)
-        value, part = scratch[:, :j1 - j0]
-        # each holder's entries in this block, their rows and weights
-        spans = []
-        for entries, copy_rows, weights in table.copies:
-            lo, hi = np.searchsorted(entries, (j0, j1))
-            at = slice(None) if hi - lo == j1 - j0 else entries[lo:hi] - j0
-            spans.append((at, copy_rows[lo:hi],
-                          None if weights is None else weights[lo:hi]))
-        for k, (at, copy_rows, weights) in enumerate(spans):
-            term = part[:len(copy_rows)] if k else value
-            # the indices are in range by construction; "clip" writes
-            # straight into out, where the default "raise" buffers it
-            np.take(rows, copy_rows, axis=0, out=term, mode="clip")
-            if weights is not None:
-                term *= weights
-            if k:
-                value[at] += term
-        if table.divisor is not None:
-            value /= table.divisor[j0:j1]
-        for at, copy_rows, _ in spans:
-            rows[copy_rows] = value[at]
+    largest = max(j1 - j0 for j0, j1, _ in blocks)
+    scratch = np.empty((min(frames, 2), 2, largest, rows.shape[1]))
+
+    def walk(lo: int, hi: int) -> None:
+        own = scratch[min(lo, 1)]  # the helper's half starts at entry 0
+        for j0, j1, spans in blocks:
+            if not lo <= j0 < hi:
+                continue
+            value, part = own[:, :j1 - j0]
+            for k, (at, copy_rows, weights) in enumerate(spans):
+                term = part[:len(copy_rows)] if k else value
+                # the indices are in range by construction; "clip" writes
+                # straight into out, where the default "raise" buffers it
+                np.take(rows, copy_rows, axis=0, out=term, mode="clip")
+                if weights is not None:
+                    term *= weights
+                if k:
+                    value[at] += term
+            if table.divisor is not None:
+                value /= table.divisor[j0:j1]
+            for at, copy_rows, _ in spans:
+                rows[copy_rows] = value[at]
+
+    _halves(walk, frames)
 
 
 def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
@@ -238,7 +281,8 @@ def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
     """
     table = _overlap_table(plan, mode)
     stack = _segment_stack(np.array(latents, dtype=np.float64), plan)
-    _fuse_stack(stack, table)
+    _fuse_stack(stack, table,
+                _fusion_blocks(table, math.prod(stack.shape[2:])))
     return list(stack)
 
 
@@ -267,15 +311,16 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
                      on_step: StepCallback | None = None) -> np.ndarray:
     """Denoise-then-fuse over all segments; returns the assembled video.
 
-    Segment i starts from Gaussian noise drawn on its own seed stream.
-    All segments live in one (S, N, C, H, W) stack of per-frame
-    ``latent_shape``, and every segment sits at the same noise level, so
-    each step makes one denoiser call on the whole stack, which the
-    denoiser updates in place (it must return None), and then fuses
-    overlaps per mode in place using an overlap table built once per
-    call. ``cond.pose_features``, when given, must hold
-    ``plan.total_frames`` frames; they are gathered once into the same
-    (S, N, ...) layout by ``plan.frame_index``.
+    Segment i starts from Gaussian noise drawn on its own seed stream,
+    each half of the segments on one side of ``_halves``. All segments
+    live in one (S, N, C, H, W) stack of per-frame ``latent_shape``, and
+    every segment sits at the same noise level, so each step makes one
+    denoiser call on the whole stack, which the denoiser updates in place
+    (it must return None), and then fuses overlaps per mode in place
+    using an overlap table and its blocks, built once per call.
+    ``cond.pose_features``, when given, must hold ``plan.total_frames``
+    frames; they are gathered once into the same (S, N, ...) layout by
+    ``plan.frame_index``.
     ``on_step(t, stack)`` gets the stack after fusion; later steps
     overwrite it, so a callback copies whatever it keeps. Steps count
     down from `steps` to 1.
@@ -286,6 +331,7 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
         raise ValueError(f"latent_shape must be three sizes >= 1, got "
                          f"{tuple(latent_shape)}")
     table = _overlap_table(plan, mode)
+    blocks = _fusion_blocks(table, math.prod(latent_shape))
     pose = cond.pose_features if cond is not None else None
     if pose is not None and len(pose) != plan.total_frames:
         raise ValueError(f"pose_features hold {len(pose)} frames, expected "
@@ -294,14 +340,18 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     shape = (plan.frames_per_segment,) + tuple(latent_shape)
 
     stack = np.empty((len(plan),) + shape)
-    for i in range(len(plan)):
-        stream_rng(seed, i, 0).standard_normal(shape, out=stack[i])
+
+    def draw(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            stream_rng(seed, i, 0).standard_normal(shape, out=stack[i])
+
+    _halves(draw, len(plan))
 
     for t in range(steps, 0, -1):
         if denoiser(stack, cond, t) is not None:
             raise ValueError("a denoiser must update its latents in "
                              "place and return None")
-        _fuse_stack(stack, table)
+        _fuse_stack(stack, table, blocks)
         if on_step is not None:
             on_step(t, stack)
     return assemble(stack, plan)

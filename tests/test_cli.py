@@ -308,12 +308,13 @@ def test_render_pose_keeps_one_frame_in_flight(tmp_path, five_frames,
 
 
 def test_cli_import_loads_no_executor_or_event_loop():
-    # set-up time is measured end to end: the writer uses bare threading
+    # set-up time is measured end to end: the writer and the long-video
+    # helper use bare threading
     src = str(Path(posefuse.__file__).resolve().parent.parent)
     code = (f"import sys\nsys.path.insert(0, {src!r})\n"
             "import posefuse.cli\n"
-            "print(sorted(m for m in ('concurrent.futures', 'asyncio')"
-            " if m in sys.modules))\n")
+            "print(sorted(m for m in ('concurrent.futures', 'asyncio',"
+            " 'queue', 'multiprocessing') if m in sys.modules))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
@@ -558,21 +559,26 @@ EXTREME_FLOATS = st.sampled_from([
 @settings(max_examples=150, deadline=None)
 @given(denoiser=st.sampled_from(DENOISER_KINDS),
        mode=st.sampled_from(FUSION_MODES), key=st.sampled_from(FLOAT_KEYS),
-       value=EXTREME_FLOATS)
-@example("phase_smoother", "none", "phase_jitter", 9e307).via(
+       value=EXTREME_FLOATS, steps=st.sampled_from([3, 25]))
+@example("phase_smoother", "none", "phase_jitter", 9e307, 3).via(
     "offset range overflows")
-@example("phase_smoother", "none", "phase_jitter", 8e307).via("runs")
-@example("analytic_gaussian", "uniform", "sigma0", 1.3e154).via(
+@example("phase_smoother", "none", "phase_jitter", 8e307, 3).via("runs")
+@example("analytic_gaussian", "uniform", "sigma0", 1.3e154, 3).via(
     "NaN latents")
+# seven steps in, the latents pass max / 2, and the copies of each
+# shared frame add past max in uniform fusion, on the helper thread as
+# well as on the caller's
+@example("analytic_gaussian", "uniform", "mu", 1e308, 25).via(
+    "fusion overflows")
 def test_longvideo_extreme_float_runs_finite_or_exits_2(denoiser, mode, key,
-                                                        value):
+                                                        value, steps):
     """Either a run with finite metrics, or one error line and no output."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         cfg = Path(tmp) / "run.json"
         cfg.write_text(json.dumps({
             "total_frames": 6, "segment_length": 4, "context_overlap": 2,
-            "steps": 3, "latent_channels": 1, "latent_height": 2,
+            "steps": steps, "latent_channels": 1, "latent_height": 2,
             "latent_width": 2, "denoiser": denoiser, key: value,
             "out_dir": str(out)}), encoding="utf-8")
         err = io.StringIO()

@@ -1,12 +1,18 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posefuse import fusion
+from posefuse import diffusion, fusion
 from posefuse.diffusion import (Condition, make_phase_instance,
                                 make_toy_denoiser)
 from posefuse.fusion import (FUSION_MODES, SegmentPlan, _boundary_transitions,
@@ -543,6 +549,158 @@ def test_run_long_denoise_validation():
         with pytest.raises(ValueError, match="latent_shape"):
             run_long_denoise(lambda z, c, t: None, None, plan, 1, "none",
                              seed=0, latent_shape=shape)
+
+
+# ---- two halves on the helper thread -------------------------------------
+
+def inline_halves(fn, n):
+    fn(0, n)
+
+
+def run_phase(mode, seed=3, on_step=None):
+    """40 frames of 2x32x32 latents: 4 segments, 22 shared frames."""
+    plan = plan_segments(40, 16, 6)
+    shape = (2, 32, 32)
+    den = make_phase_instance(plan, shape, seed, phase_jitter=0.4)
+    return run_long_denoise(den, None, plan, 5, mode, seed,
+                            latent_shape=shape, on_step=on_step)
+
+
+def test_halves_match_the_stages_run_inline():
+    # blocks of 3 shared frames and chunks of 2**12 elements, so each
+    # half walks several blocks and pulls several chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_BLOCK_ELEMENTS", 3 * 2 * 32 * 32)
+        mp.setattr(diffusion, "_CHUNK", 1 << 12)
+        split = {mode: run_phase(mode).tobytes() for mode in FUSION_MODES}
+        assert any(t.name == "posefuse-halves" for t in threading.enumerate())
+        mp.setattr(diffusion, "_halves", inline_halves)
+        mp.setattr(fusion, "_halves", inline_halves)
+        for mode in FUSION_MODES:
+            assert run_phase(mode).tobytes() == split[mode], mode
+
+
+def test_halves_run_the_first_half_on_the_helper():
+    calls = []
+    diffusion._halves(lambda lo, hi: calls.append(
+        (lo, hi, threading.current_thread() is threading.main_thread())), 5)
+    assert sorted(calls) == [(0, 2, False), (2, 5, True)]
+    calls.clear()
+    diffusion._halves(lambda lo, hi: calls.append((lo, hi)), 1)
+    diffusion._halves(lambda lo, hi: calls.append((lo, hi)), 0)
+    assert calls == [(0, 1), (0, 0)]
+
+
+def test_halves_raise_the_helpers_error_and_keep_working():
+    ran = []
+
+    def fail_first(lo, hi):
+        if lo == 0:
+            raise KeyError("helper half")
+        ran.append((lo, hi))
+
+    with pytest.raises(KeyError, match="helper half"):
+        diffusion._halves(fail_first, 4)
+    assert ran == [(2, 4)]
+    expect = run_phase("uniform")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffusion, "_halves", inline_halves)
+        mp.setattr(fusion, "_halves", inline_halves)
+        assert run_phase("uniform").tobytes() == expect.tobytes()
+
+
+def test_run_long_denoise_keeps_no_reference_to_its_stack():
+    # the helper drops its last task before it signals done
+    stacks = []
+    run_phase("progressive", on_step=lambda t, z: stacks.append(
+        weakref.ref(z)))
+    assert len(stacks) == 5 and stacks[-1]() is None
+
+
+def helper_threads():
+    return {t.ident for t in threading.enumerate()
+            if t.name == "posefuse-halves"}
+
+
+def test_run_long_denoise_from_several_threads_matches_serial():
+    modes = FUSION_MODES + ("progressive",)
+    expect = {mode: run_phase(mode).tobytes() for mode in FUSION_MODES}
+    helpers = helper_threads()
+    got, errors = {}, []
+
+    def worker(i, mode):
+        try:
+            got[i] = run_phase(mode).tobytes()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i, mode))
+               for i, mode in enumerate(modes)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [got[i] == expect[mode] for i, mode in enumerate(modes)] == [
+        True] * len(modes)
+    assert helper_threads() == helpers  # the callers took turns on one
+
+
+class Interrupted(Exception):
+    pass
+
+
+def interrupt(signum, frame):
+    raise Interrupted
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                    reason="needs signal.setitimer")
+def test_halves_replace_a_helper_left_running_by_an_interrupted_wait():
+    diffusion._halves(lambda lo, hi: None, 2)  # a helper is running
+    release = threading.Event()
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(Interrupted):  # raised while waiting on done
+            diffusion._halves(lambda lo, hi: lo or release.wait(30), 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    try:
+        calls = []
+        start = time.monotonic()
+        diffusion._halves(lambda lo, hi: calls.append(lo), 2)
+        # the old helper is still blocked, so a fresh one ran half 0
+        assert time.monotonic() - start < 10 and sorted(calls) == [0, 1]
+    finally:
+        release.set()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_run_long_denoise_in_a_forked_child():
+    expect = run_phase("progressive").tobytes()  # the helper is running
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit status only
+        code = 1
+        try:
+            code = 0 if run_phase("progressive").tobytes() == expect else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in run_long_denoise")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # ---- metrics -----------------------------------------------------------

@@ -85,6 +85,12 @@ def test_train_hand_weighted(capsys):
      "--fps must be finite and > 0"),
     ("make_demo_poses", ["--fps", "nan", "--out", "unused.json"],
      "--fps must be finite and > 0"),
+    # sizes past float range, which would scale keypoints to infinity
+    ("make_demo_poses", ["--width", "1" + "0" * 400, "--out", "unused.json"],
+     "--width and --height must scale every keypoint to a finite float"),
+    ("make_demo_poses", ["--height", str(2 * 10 ** 308), "--out",
+                         "unused.json"],
+     "--width and --height must scale every keypoint to a finite float"),
 ])
 def test_scripts_reject_out_of_range_arguments(name, args, message, capsys,
                                               tmp_path, monkeypatch):
@@ -95,3 +101,4 @@ def test_scripts_reject_out_of_range_arguments(name, args, message, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert not (tmp_path / "unused.json").exists()
