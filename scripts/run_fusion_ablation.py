@@ -38,9 +38,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--size", type=int, default=8,
                         help="latent height and width")
     args = parser.parse_args(argv)
-    for name in ("total_frames", "steps", "seeds", "channels", "size"):
-        if getattr(args, name) < 1:
-            parser.error(f"--{name.replace('_', '-')} must be >= 1")
+    # the seam metrics need a frame-to-frame difference
+    for name, least in (("total_frames", 2), ("steps", 1), ("seeds", 1),
+                        ("channels", 1), ("size", 1)):
+        if getattr(args, name) < least:
+            parser.error(f"--{name.replace('_', '-')} must be >= {least}")
     shape = (args.channels, args.size, args.size)
     try:
         plan = plan_segments(args.total_frames, args.segment_length,

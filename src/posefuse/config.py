@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fusion import _segment_count
+from .fusion import _check_stack_size
 from .pose import _finite_number
-from .render import MAX_ELEMENTS
 
 DENOISER_KINDS = ("phase_smoother", "analytic_gaussian")
 
@@ -47,13 +46,13 @@ class RunConfig:
     out_dir: str = "out"
 
 
-_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(doc) - set(_FIELDS))
+    unknown = sorted(set(doc) - _FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     defaults = RunConfig()
@@ -93,13 +92,12 @@ def _validate(cfg: RunConfig) -> None:
     need(0 <= cfg.seed < 2 ** 64, "seed must fit in 64 bits")
     need(cfg.latent_channels >= 1 and cfg.latent_height >= 1
          and cfg.latent_width >= 1, "latent dims must be >= 1")
-    # the segment stack run_long_denoise allocates
-    segments = _segment_count(cfg.total_frames, cfg.segment_length,
-                              cfg.context_overlap)
-    need(segments * min(cfg.total_frames, cfg.segment_length)
-         * cfg.latent_channels * cfg.latent_height * cfg.latent_width
-         <= MAX_ELEMENTS,
-         f"segment latents exceed {MAX_ELEMENTS} elements")
+    shape = (cfg.latent_channels, cfg.latent_height, cfg.latent_width)
+    try:  # the segment stack run_long_denoise allocates
+        _check_stack_size(cfg.total_frames, cfg.segment_length,
+                          cfg.context_overlap, shape)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     need(cfg.denoiser in DENOISER_KINDS,
          f"denoiser must be one of {DENOISER_KINDS}")
     need(0 < cfg.eta <= 1, "eta must lie in (0, 1]")

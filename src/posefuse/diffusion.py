@@ -382,6 +382,8 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     on the step, so it is built once, here, for every slot of the plan,
     each half of the segments by one side of ``_halves``.
     """
+    from .fusion import _check_stack_size  # fusion imports this module
+
     lo, hi = period_range
     if not 0 < lo < hi:
         raise ValueError("period_range must be increasing and positive")
@@ -390,6 +392,8 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
         raise ValueError("phase_jitter must be >= 0 with 2 * phase_jitter "
                          "finite")
     shape = tuple(latent_shape)
+    _check_stack_size(plan.total_frames, plan.segment_length,
+                      plan.context_overlap, shape)
     period = stream_rng(seed, 100).uniform(lo, hi, size=shape)
     pixel_phase = stream_rng(seed, 101).uniform(0.0, 2.0 * math.pi, size=shape)
     seg_phase = stream_rng(seed, 102).uniform(-phase_jitter, phase_jitter,

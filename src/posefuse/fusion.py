@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffusion import Condition, Denoiser, _halves
+from .render import MAX_ELEMENTS
 from .seeding import stream_rng
 
 FUSION_MODES = ("progressive", "uniform", "none")
@@ -69,6 +70,13 @@ class SegmentPlan:
 def _segment_count(L: int, N: int, C: int) -> int:
     """Segments of a plan: 1, plus ceil((L - N) / (N - C)) when L > N."""
     return 1 + max(0, -(-(L - N) // (N - C)))
+
+
+def _check_stack_size(L: int, N: int, C: int, latent_shape: tuple) -> None:
+    """Reject a plan whose segment stack would exceed ``MAX_ELEMENTS``."""
+    if _segment_count(L, N, C) * min(L, N) * math.prod(latent_shape) \
+            > MAX_ELEMENTS:
+        raise ValueError(f"segment latents exceed {MAX_ELEMENTS} elements")
 
 
 def plan_segments(total_frames: int, segment_length: int,
@@ -134,138 +142,100 @@ def _holders(plan: SegmentPlan) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-@dataclass(frozen=True)
-class _OverlapTable:
-    """A fusion mode's weights over the (S*N, ...) row view of a stack.
+# elements per block of shared frames, so that a block and its scratch
+# stay cache-sized on each of the two halves; a private constant, not an
+# option
+_BLOCK_ELEMENTS = 1 << 15
 
-    Entry j is the j-th shared frame, ``frames[j]``. ``copies[k]`` is
-    (entries, rows, weights) for the k-th holder in segment order: the
-    ascending entries that have one, that holder's rows and its (n, 1)
-    weights, None where all are 1. ``divisor`` is (F, 1), None where
-    every divisor is 1.
-    """
-
-    frames: np.ndarray
-    copies: tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]
-    divisor: np.ndarray | None
+_Block = tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]
 
 
-def _overlap_table(plan: SegmentPlan, mode: str) -> _OverlapTable:
+def _fusion_blocks(plan: SegmentPlan, mode: str,
+                   row: int) -> tuple[_Block, ...]:
     """Each mode's fusion rule, as weights of a shared frame's holders.
 
     ``progressive`` gives the later adjacent pair (last - 1, last) the
     ramp of ``overlap_weights`` at the frame's place in last's overlap,
     1 - w and w, and any earlier holder 0, over a divisor of 1.
     ``uniform`` weighs every holder 1 over their count. ``none`` shares
-    no frame.
+    no frame. Entry j is the j-th shared frame in a stable sort by
+    holder count. Blocks of at most ``_BLOCK_ELEMENTS // row`` entries
+    (at least one) are cut from entry 0, from entry F // 2, so none
+    straddles the two halves ``_halves`` splits the F entries into, and
+    at each change of holder count. The m frames of block (j0, rows,
+    weights, divisor) from entry j0 on have the same K holders: rows is
+    (K, m), their rows of the (S*N, ...) stack in segment order; weights
+    is (K, m, 1) and divisor (m, 1), each None where all are 1. Built
+    once per fused stack shape, so a step's walk runs no search.
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}, expected one of "
                          f"{FUSION_MODES}")
     n, starts = plan.frames_per_segment, np.asarray(plan.starts)
     first, last = _holders(plan)
-    frames = np.flatnonzero((first < last) & (mode != "none"))
-    first, last = first[frames], last[frames]
     held = last - first + 1
+    frames = np.flatnonzero((held > 1) & (mode != "none"))
+    frames = frames[np.argsort(held[frames], kind="stable")]
+    first, last, held = first[frames], last[frames], held[frames]
     pos = frames - starts[last]
     ramp = overlap_weights(plan.context_overlap, pos.max(initial=0) + 1)[pos]
-    copies = []
-    for k in range(held.max(initial=0)):
-        entries = np.flatnonzero(held > k)
-        holder = first[entries] + k
-        weights = None
-        if mode == "progressive":  # choice 0: last, 1: last - 1, 2: earlier
-            weights = np.choose(np.minimum(last[entries] - holder, 2),
-                                (ramp[entries], 1.0 - ramp[entries], 0.0))
-            weights = weights.reshape(-1, 1)
-        copies.append((entries, holder * n + frames[entries] - starts[holder],
-                       weights))
-    divisor = (held.astype(np.float64).reshape(-1, 1) if mode == "uniform"
-               else None)
-    return _OverlapTable(frames, tuple(copies), divisor)
-
-
-# elements per block of shared frames, so that a block and its scratch
-# stay cache-sized on each of the two halves; a private constant, not an
-# option
-_BLOCK_ELEMENTS = 1 << 15
-
-# (j0, j1, spans) for entries j0..j1 - 1; each holder's span is where its
-# entries sit in the block (all of it, or an index array), their rows and
-# their (n, 1) weights or None
-_Block = tuple[int, int, tuple[tuple[slice | np.ndarray, np.ndarray,
-                                     np.ndarray | None], ...]]
-
-
-def _fusion_blocks(table: _OverlapTable, row: int) -> tuple[_Block, ...]:
-    """The table's entries cut into blocks (j0, j1, spans).
-
-    Blocks of at most ``_BLOCK_ELEMENTS // row`` shared frames (at least
-    one) are cut from entry 0 and from entry F // 2, so no block
-    straddles the two halves ``_halves`` splits the F entries into.
-    ``spans`` gives each holder's part of the block in segment order.
-    Built once per fused stack shape, so a step's walk runs no search.
-    """
-    frames = len(table.frames)
     block = max(1, _BLOCK_ELEMENTS // row)
-    half = frames // 2
-    starts = [*range(0, half, block), *range(half, frames, block)]
+    cuts = sorted({0, len(frames) // 2, len(frames),
+                   *(np.flatnonzero(np.diff(held)) + 1).tolist()})
     blocks = []
-    for j0, j1 in zip(starts, starts[1:] + [frames]):
-        spans = []
-        for entries, copy_rows, weights in table.copies:
-            a, b = np.searchsorted(entries, (j0, j1))
-            at = slice(None) if b - a == j1 - j0 else entries[a:b] - j0
-            spans.append((at, copy_rows[a:b],
-                          None if weights is None else weights[a:b]))
-        blocks.append((j0, j1, tuple(spans)))
+    for a, b in zip(cuts, cuts[1:]):
+        for j0 in range(a, b, block):
+            j = slice(j0, min(j0 + block, b))
+            holder = first[j] + np.arange(held[j0]).reshape(-1, 1)
+            weights = divisor = None
+            if mode == "progressive":
+                # choice 0: last, 1: last - 1, 2: earlier
+                weights = np.choose(np.minimum(last[j] - holder, 2),
+                                    (ramp[j], 1.0 - ramp[j], 0.0))[..., None]
+            else:
+                divisor = held[j].astype(np.float64).reshape(-1, 1)
+            blocks.append((j0, holder * n + frames[j] - starts[holder],
+                           weights, divisor))
     return tuple(blocks)
 
 
-def _fuse_stack(stack: np.ndarray, table: _OverlapTable,
-                blocks: tuple[_Block, ...]) -> None:
+def _fuse_stack(stack: np.ndarray, blocks: tuple[_Block, ...]) -> None:
     """Fuse a C-contiguous (S, N, ...) float64 stack of segments in place.
 
     A shared frame becomes the sum of weight * copy over its holders in
-    segment order, over its divisor. The first holder, which holds every
-    shared frame, starts the sum; multiplies by 1 and divides by 1 are
-    skipped, which is exact. ``_halves`` splits the shared frames in
-    two, and each half walks its own ``blocks`` (from ``_fusion_blocks``
-    for this table and row size) through its own (2, block, row) scratch
-    buffer. A block's fused values are computed from the pre-fusion rows
-    before any of its rows is written, and no frame is in two blocks, so
-    every copy of a frame receives the same value and the halves touch
-    disjoint rows.
+    segment order, over its divisor. The first holder starts the sum;
+    multiplies by 1 and divides by 1 are skipped, which is exact.
+    ``_halves`` splits the shared frames in two, and each half walks its
+    own ``blocks`` (from ``_fusion_blocks`` for this row size) through
+    its own (2, block, row) scratch buffer. A block's fused values are
+    computed from the pre-fusion rows before any of its rows is written,
+    and no frame is in two blocks, so every copy of a frame receives the
+    same value and the halves touch disjoint rows.
     """
-    frames = len(table.frames)
-    if not frames:
-        return
-    rows = stack.reshape(stack.shape[0] * stack.shape[1],
-                         math.prod(stack.shape[2:]))
-    largest = max(j1 - j0 for j0, j1, _ in blocks)
-    scratch = np.empty((min(frames, 2), 2, largest, rows.shape[1]))
+    rows = stack.reshape(-1, math.prod(stack.shape[2:]))
+    largest = max((r.shape[1] for _, r, _, _ in blocks), default=0)
+    scratch = np.empty((2, 2, largest, rows.shape[1]))
 
     def walk(lo: int, hi: int) -> None:
         own = scratch[min(lo, 1)]  # the helper's half starts at entry 0
-        for j0, j1, spans in blocks:
+        for j0, copy_rows, weights, divisor in blocks:
             if not lo <= j0 < hi:
                 continue
-            value, part = own[:, :j1 - j0]
-            for k, (at, copy_rows, weights) in enumerate(spans):
-                term = part[:len(copy_rows)] if k else value
+            value, term = own[:, :copy_rows.shape[1]]
+            for k, holder_rows in enumerate(copy_rows):
+                out = term if k else value
                 # the indices are in range by construction; "clip" writes
                 # straight into out, where the default "raise" buffers it
-                np.take(rows, copy_rows, axis=0, out=term, mode="clip")
+                np.take(rows, holder_rows, axis=0, out=out, mode="clip")
                 if weights is not None:
-                    term *= weights
+                    out *= weights[k]
                 if k:
-                    value[at] += term
-            if table.divisor is not None:
-                value /= table.divisor[j0:j1]
-            for at, copy_rows, _ in spans:
-                rows[copy_rows] = value[at]
+                    value += term
+            if divisor is not None:
+                value /= divisor
+            rows[copy_rows] = value
 
-    _halves(walk, frames)
+    _halves(walk, sum(r.shape[1] for _, r, _, _ in blocks))
 
 
 def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
@@ -273,16 +243,14 @@ def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
     """Fuse per-segment arrays per mode; returns new float64 arrays.
 
     Each shared frame becomes the weighted average of its copies that
-    ``_overlap_table`` sets out: ``progressive`` ramps across the later
+    ``_fusion_blocks`` sets out: ``progressive`` ramps across the later
     adjacent pair of holders by ``overlap_weights``, ``uniform`` is the
     mean of all copies and ``none`` returns plain copies. Fused values
     come from the pre-fusion arrays, and every copy of a frame receives
     the same one.
     """
-    table = _overlap_table(plan, mode)
     stack = _segment_stack(np.array(latents, dtype=np.float64), plan)
-    _fuse_stack(stack, table,
-                _fusion_blocks(table, math.prod(stack.shape[2:])))
+    _fuse_stack(stack, _fusion_blocks(plan, mode, math.prod(stack.shape[2:])))
     return list(stack)
 
 
@@ -317,7 +285,7 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     every segment sits at the same noise level, so each step makes one
     denoiser call on the whole stack, which the denoiser updates in place
     (it must return None), and then fuses overlaps per mode in place
-    using an overlap table and its blocks, built once per call.
+    through the blocks of ``_fusion_blocks``, built once per call.
     ``cond.pose_features``, when given, must hold ``plan.total_frames``
     frames; they are gathered once into the same (S, N, ...) layout by
     ``plan.frame_index``.
@@ -330,8 +298,9 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     if len(latent_shape) != 3 or min(latent_shape) < 1:
         raise ValueError(f"latent_shape must be three sizes >= 1, got "
                          f"{tuple(latent_shape)}")
-    table = _overlap_table(plan, mode)
-    blocks = _fusion_blocks(table, math.prod(latent_shape))
+    _check_stack_size(plan.total_frames, plan.segment_length,
+                      plan.context_overlap, latent_shape)
+    blocks = _fusion_blocks(plan, mode, math.prod(latent_shape))
     pose = cond.pose_features if cond is not None else None
     if pose is not None and len(pose) != plan.total_frames:
         raise ValueError(f"pose_features hold {len(pose)} frames, expected "
@@ -351,7 +320,7 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
         if denoiser(stack, cond, t) is not None:
             raise ValueError("a denoiser must update its latents in "
                              "place and return None")
-        _fuse_stack(stack, table, blocks)
+        _fuse_stack(stack, blocks)
         if on_step is not None:
             on_step(t, stack)
     return assemble(stack, plan)

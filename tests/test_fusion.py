@@ -340,65 +340,94 @@ def assert_fuse_matches_loop(latents, plan):
                     assert got.tobytes() == ref.tobytes()
 
 
+# (L, N, C) with N in 2..12, any 0 < C < N and L in 1..5N
+small_geometry = st.integers(2, 12).flatmap(
+    lambda N: st.tuples(st.integers(1, 5 * N), st.just(N),
+                        st.integers(1, N - 1)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 12), st.data())
-def test_fuse_matches_loop_reference_bitwise(N, data):
-    C = data.draw(st.integers(1, N - 1))
-    L = data.draw(st.integers(1, 5 * N))
-    plan = plan_segments(L, N, C)
-    latents = seg_noise(plan, shape=(1, 2, 2),
-                        seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+@given(small_geometry, st.integers(0, 2 ** 32 - 1))
+@example((60, 16, 12), 5).via("C > N/2: holder counts alternate")
+def test_fuse_matches_loop_reference_bitwise(geometry, seed):
+    plan = plan_segments(*geometry)
+    latents = seg_noise(plan, shape=(1, 2, 2), seed=seed)
     assert_fuse_matches_loop(latents, plan)
+
+
+def block_frames(plan, rows):
+    """Clip frames of a block's (K, m) rows, read off its first holder."""
+    n = plan.frames_per_segment
+    return np.asarray(plan.starts)[rows[0] // n] + rows[0] % n
 
 
 def test_fuse_blocks_split_three_holder_tail_frames():
     plan = plan_segments(37, 16, 6)  # pinned tail: frames 21..25 held thrice
     assert plan.starts == (0, 10, 20, 21)
-    triple = fusion._overlap_table(plan, "uniform").copies[2][0]
-    assert len(triple) == 5
-    for frames_per_block in (1, 2, 3):
-        # the three-holder entries straddle at least one block edge
-        assert len({int(j) // frames_per_block for j in triple}) > 1
+    for frames_per_block in (1, 2, 3, 64):
+        row = fusion._BLOCK_ELEMENTS // frames_per_block
+        for mode in ("progressive", "uniform"):
+            blocks = fusion._fusion_blocks(plan, mode, row)
+            # the three-holder frames fill blocks of their own, last
+            triple = blocks[-math.ceil(5 / frames_per_block):]
+            assert np.concatenate([block_frames(plan, b[1]) for b in triple]
+                                  ).tolist() == [21, 22, 23, 24, 25]
+            assert all(len(rows) == 3 for _, rows, _, _ in triple)
     assert_fuse_matches_loop(seg_noise(plan, shape=(1, 2, 2), seed=3), plan)
 
 
 @settings(max_examples=200, deadline=None)
-@given(plan_geometry)
-@example((37, 16, 6)).via("three holders")
-@example((400, 40, 39)).via("stride 1")
-def test_overlap_table_weights_sum_to_divisor(geometry):
+@given(plan_geometry, st.sampled_from([1, 2, 3, None]))
+@example((37, 16, 6), None).via("three holders")
+@example((400, 40, 39), 2).via("stride 1")
+@example((60, 16, 12), 3).via("holder counts alternate")
+def test_fusion_blocks_weights_sum_to_divisor(geometry, frames_per_block):
     plan = plan_segments(*geometry)
     C, n, starts = plan.context_overlap, plan.frames_per_segment, plan.starts
     first, last = fusion._holders(plan)
-    shared = np.flatnonzero(first < last)
-    none = fusion._overlap_table(plan, "none")
-    assert none.frames.size == 0 and none.copies == ()
+    held = last - first + 1
+    shared = np.flatnonzero(held > 1)
+    shared = shared[np.argsort(held[shared], kind="stable")]
+    block = frames_per_block or 1024
+    row = fusion._BLOCK_ELEMENTS // block
+    assert fusion._fusion_blocks(plan, "none", row) == ()
     for mode in ("progressive", "uniform"):
-        table = fusion._overlap_table(plan, mode)
-        assert table.frames.tolist() == shared.tolist()
-        weights = {j: [] for j in range(len(shared))}  # in segment order
-        for k, (entries, rows, w) in enumerate(table.copies):
-            for m, j in enumerate(entries.tolist()):
-                f = int(shared[j])
-                holder = int(first[f]) + k
-                assert rows[m] == holder * n + f - starts[holder]
-                weights[j].append(1.0 if w is None else float(w[m, 0]))
-        for j, ws in weights.items():
-            f = int(shared[j])
-            assert len(ws) == last[f] - first[f] + 1
-            total = ws[0]
-            for w in ws[1:]:
-                total += w
-            divisor = 1.0 if table.divisor is None else table.divisor[j, 0]
-            assert total == divisor
+        blocks = fusion._fusion_blocks(plan, mode, row)
+        # every shared frame sits in exactly one block, in holder-count
+        # order, and no block straddles the halves or exceeds its size
+        j0s = [j0 for j0, *_ in blocks]
+        sizes = [rows.shape[1] for _, rows, _, _ in blocks]
+        assert j0s == [sum(sizes[:i]) for i in range(len(blocks))]
+        assert np.concatenate([block_frames(plan, b[1]) for b in blocks]
+                              + [[]]).tolist() == shared.tolist()
+        half = len(shared) // 2
+        for j0, m in zip(j0s, sizes):
+            assert 1 <= m <= block and not j0 < half < j0 + m
+        for j0, rows, w, divisor in blocks:
+            frames = block_frames(plan, rows)
+            K, m = rows.shape
+            # all frames in a block share one holder count
+            assert (held[frames] == K).all()
+            for k in range(K):
+                holder = first[frames] + k
+                assert (rows[k] == holder * n + frames
+                        - np.asarray(starts)[holder]).all()
             if mode == "uniform":
-                assert ws == [1.0] * len(ws) and divisor == len(ws)
-            else:
+                assert w is None and divisor.shape == (m, 1)
+                assert (divisor == K).all()
+                continue
+            assert divisor is None and w.shape == (K, m, 1)
+            for i, f in enumerate(frames.tolist()):
+                ws = [float(w[k, i, 0]) for k in range(K)]
+                total = ws[0]
+                for x in ws[1:]:
+                    total += x
+                assert total == 1.0  # the weights sum to the divisor
                 # C01: the later adjacent pair ramps and sums to 1.0
                 ramp = min((f - starts[last[f]] + 1) / (C + 1), 1.0)
                 assert ws[-1] == ramp and ws[-2] == 1.0 - ramp
                 assert ws[-2] + ws[-1] == 1.0
-                assert ws[:-2] == [0.0] * (len(ws) - 2)
+                assert ws[:-2] == [0.0] * (K - 2)
 
 
 # ---- assembly ----------------------------------------------------------
@@ -549,6 +578,14 @@ def test_run_long_denoise_validation():
         with pytest.raises(ValueError, match="latent_shape"):
             run_long_denoise(lambda z, c, t: None, None, plan, 1, "none",
                              seed=0, latent_shape=shape)
+    # one segment of 16 x 1 x 2048 x 2048 latents is exactly the cap;
+    # one more pixel is refused before anything is allocated
+    huge = (1, 2 ** 11, 2 ** 11 + 1)
+    with pytest.raises(ValueError, match="segment latents exceed"):
+        run_long_denoise(lambda z, c, t: None, None, plan, 1, "none",
+                         seed=0, latent_shape=huge)
+    with pytest.raises(ValueError, match="segment latents exceed"):
+        make_phase_instance(plan, huge, 0)
 
 
 # ---- two halves on the helper thread -------------------------------------

@@ -43,6 +43,18 @@ def test_run_fusion_ablation(capsys):
                      r"progressive <= uniform on [01]/1$", out, re.M)
 
 
+def test_reach_ledger_figures_sum_to_the_total(capsys):
+    assert load_script("reach_ledger").main([]) == 0
+    out = capsys.readouterr().out
+    total = int(re.search(r"^src/posefuse: \d+ top-level definitions, "
+                          r"(\d+) non-blank lines$", out, re.M).group(1))
+    figures = [int(n) for n in re.findall(
+        r"^(?:reached from cli\.main|added by scripts/|added by perfbench/"
+        r"|tests only or nothing) +(\d+)$", out, re.M)]
+    assert len(figures) == 4 and sum(figures) == total
+    assert figures[0] > 0
+
+
 def test_train_hand_weighted(capsys):
     rc = load_script("train_hand_weighted").main(["--steps", "10"])
     assert rc == 0
@@ -59,7 +71,7 @@ def test_train_hand_weighted(capsys):
     ("run_fusion_ablation", ["--steps", "0"], "--steps must be >= 1"),
     ("run_fusion_ablation", ["--channels", "0"], "--channels must be >= 1"),
     ("run_fusion_ablation", ["--total-frames", "0"],
-     "--total-frames must be >= 1"),
+     "--total-frames must be >= 2"),
     ("run_fusion_ablation", ["--phase-jitter", "nan"],
      "phase_jitter must be >= 0 with 2 * phase_jitter finite"),
     ("run_fusion_ablation", ["--context-overlap", "16"],
@@ -91,6 +103,12 @@ def test_train_hand_weighted(capsys):
     ("make_demo_poses", ["--height", str(2 * 10 ** 308), "--out",
                          "unused.json"],
      "--width and --height must scale every keypoint to a finite float"),
+    # the seam metrics need two frames
+    ("run_fusion_ablation", ["--total-frames", "1"],
+     "--total-frames must be >= 2"),
+    # a 24.4 TiB segment stack, refused before anything is allocated
+    ("run_fusion_ablation", ["--total-frames", "2000000", "--size", "512"],
+     "segment latents exceed 67108864 elements"),
 ])
 def test_scripts_reject_out_of_range_arguments(name, args, message, capsys,
                                               tmp_path, monkeypatch):
