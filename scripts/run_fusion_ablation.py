@@ -19,9 +19,9 @@ import sys
 import time
 
 from posefuse.diffusion import make_phase_instance
-from posefuse.fusion import (FUSION_MODES, boundary_jump_metric,
-                             frame_difference_profile, plan_segments,
-                             run_long_denoise)
+from posefuse.fusion import (FUSION_MODES, _check_stack_size,
+                             boundary_jump_metric, frame_difference_profile,
+                             plan_segments, run_long_denoise)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,6 +45,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--{name.replace('_', '-')} must be >= {least}")
     shape = (args.channels, args.size, args.size)
     try:
+        # the overlap and the stack size, in closed form, before a plan of
+        # one start per segment is built
+        _check_stack_size(args.total_frames, args.segment_length,
+                          args.context_overlap, shape)
         plan = plan_segments(args.total_frames, args.segment_length,
                              args.context_overlap)
         # seed 0's instance, built before anything prints

@@ -3,10 +3,11 @@
 Three subcommands cover the runnable experiments: ``render-pose`` draws
 a pose file straight into per-frame uint8 PPM guidance images
 (``render_frame_u8``), ``weight-map`` exports one frame's hand-region
-loss weights (MMTL plus a PGM preview), and ``longvideo`` runs the
-segmented denoise-and-fuse loop on a synthetic workload and reports
-seam metrics. All outputs are byte-deterministic for a given command
-line and seed.
+loss weights (MMTL plus a PGM preview) by painting the boxes of
+``hand_boxes`` straight into a float32 payload and a uint8 preview, and
+``longvideo`` runs the segmented denoise-and-fuse loop on a synthetic
+workload and reports seam metrics. All outputs are byte-deterministic
+for a given command line and seed.
 
 ``render-pose`` is a two-stage pipeline with one frame in flight: while
 the main thread draws frame i + 1, a writer thread streams frame i to
@@ -35,10 +36,9 @@ from .diffusion import (linear_beta_schedule, make_phase_instance,
 from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
                      frame_difference_profile, plan_segments,
                      run_long_denoise)
-from .io_formats import (FormatError, mmtl_encode, pgm_encode,
-                         weight_map_preview, write_ppm)
+from .io_formats import FormatError, mmtl_encode, pgm_encode, write_ppm
 from .pose import PoseParseError, parse_pose_sequence
-from .regions import build_weight_map
+from .regions import hand_boxes
 from .render import CONFIDENCE_MODES, RenderStyle, render_frame_u8
 from .skeleton import LayoutError
 
@@ -105,11 +105,26 @@ def _cmd_weight_map(args: argparse.Namespace) -> int:
     if not 0 <= args.frame < len(seq):
         raise ValueError(f"frame index {args.frame} out of range "
                          f"[0, {len(seq)})")
-    wm = build_weight_map(seq.frames[args.frame], args.tau_hand, args.pad_frac,
-                          args.w_hand, seq.source_width, seq.source_height)
+    w, h = seq.source_width, seq.source_height
+    boxes = hand_boxes(seq.frames[args.frame], args.tau_hand, args.pad_frac,
+                       args.w_hand, w, h)
+    # build_weight_map's float64 map as its float32 cast and its preview,
+    # 255 where that map is > 1 and 25 elsewhere, painted box by box
+    payload = np.ones((h, w), np.float32)
+    gray = np.full((h, w), 25, np.uint8)
+    if args.w_hand > 1.0 and any(x0 < x1 and y0 < y1
+                                 for x0, y0, x1, y1 in boxes):
+        try:  # a weight past float32 leaves no directory
+            with np.errstate(over="raise"):
+                weight = np.float32(args.w_hand)
+        except FloatingPointError:
+            raise FormatError("values overflow float32") from None
+        for x0, y0, x1, y1 in boxes:  # an empty box is a no-op
+            payload[y0:y1, x0:x1] = weight
+            gray[y0:y1, x0:x1] = 255
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(mmtl_encode(wm.data))
-    preview.write_bytes(pgm_encode(weight_map_preview(wm.data)))
+    out.write_bytes(mmtl_encode(payload))
+    preview.write_bytes(pgm_encode(gray))
     return 0
 
 
@@ -128,7 +143,8 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     plan = plan_segments(cfg.total_frames, cfg.segment_length,
                          cfg.context_overlap)
     latent_shape = (cfg.latent_channels, cfg.latent_height, cfg.latent_width)
-    # the denoiser and its whole-plan target are freed once the loop ends;
+    # run_long_denoise frees the denoiser and its whole-plan target before
+    # it assembles the video, as this frame keeps no reference to them;
     # floating-point faults surface as non-finite latents, checked below
     # (the helper thread's halves run under this errstate too)
     with np.errstate(all="ignore"):

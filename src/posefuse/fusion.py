@@ -72,8 +72,16 @@ def _segment_count(L: int, N: int, C: int) -> int:
     return 1 + max(0, -(-(L - N) // (N - C)))
 
 
+def _check_overlap(N: int, C: int) -> None:
+    if not 0 < C < N:
+        raise ValueError(f"overlap must be smaller than segment length "
+                         f"(got C={C}, N={N})")
+
+
 def _check_stack_size(L: int, N: int, C: int, latent_shape: tuple) -> None:
-    """Reject a plan whose segment stack would exceed ``MAX_ELEMENTS``."""
+    """Reject an overlap outside (0, N), then a plan whose segment stack
+    would exceed ``MAX_ELEMENTS``, both before any plan is built."""
+    _check_overlap(N, C)
     if _segment_count(L, N, C) * min(L, N) * math.prod(latent_shape) \
             > MAX_ELEMENTS:
         raise ValueError(f"segment latents exceed {MAX_ELEMENTS} elements")
@@ -89,9 +97,7 @@ def plan_segments(total_frames: int, segment_length: int,
     one segment yields the single segment [0, total_frames).
     """
     L, N, C = total_frames, segment_length, context_overlap
-    if not 0 < C < N:
-        raise ValueError(f"overlap must be smaller than segment length "
-                         f"(got C={C}, N={N})")
+    _check_overlap(N, C)
     if L < 1:
         raise ValueError("total_frames must be >= 1")
     stride, last = N - C, _segment_count(L, N, C) - 1
@@ -323,6 +329,9 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
         _fuse_stack(stack, blocks)
         if on_step is not None:
             on_step(t, stack)
+    # the denoiser (a phase instance holds a whole-plan target) and the
+    # gathered condition are freed before the video is allocated
+    del denoiser, cond
     return assemble(stack, plan)
 
 

@@ -92,12 +92,6 @@ def pgm_encode(gray_u8: np.ndarray) -> bytes:
                      np.ascontiguousarray(a).data))
 
 
-def weight_map_preview(weights: np.ndarray) -> np.ndarray:
-    """Visualize a loss weight map: 255 where amplified, 25 elsewhere."""
-    w = np.asarray(weights)
-    return np.where(w > 1.0, np.uint8(255), np.uint8(25))
-
-
 def posenet_weights_bytes(weights: PoseNetWeights) -> bytes:
     """One JSON manifest line, then kernel/bias MMTL blobs in layer order."""
     manifest = {

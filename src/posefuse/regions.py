@@ -4,7 +4,9 @@ A hand counts as reliable only when every one of its 21 keypoints has
 confidence strictly above the threshold. Reliable hands get a padded
 bounding box whose pixels carry an amplified loss weight; everything
 else stays at weight 1. Overlapping hand boxes form a union, never a
-product.
+product. ``hand_boxes`` applies this rule and returns the boxes, which
+``build_weight_map`` paints into a float64 map and ``weight-map`` paints
+straight into its float32 export and uint8 preview.
 """
 
 from __future__ import annotations
@@ -76,9 +78,15 @@ def hand_bbox(frame: PoseFrame, side: str, pad_frac: float, width: int,
     return (x0, y0, max(x0, x1), max(y0, y1))
 
 
-def build_weight_map(frame: PoseFrame, tau_hand: float, pad_frac: float,
-                     w_hand: float, width: int, height: int) -> LossWeightMap:
-    """Per-pixel loss weights: w_hand inside reliable hand boxes, 1 elsewhere."""
+def hand_boxes(frame: PoseFrame, tau_hand: float, pad_frac: float,
+               w_hand: float, width: int, height: int
+               ) -> tuple[tuple[int, int, int, int], ...]:
+    """The reliable hands' clipped boxes, left before right.
+
+    Validates the weight-map settings first, so every weight map built
+    from these boxes refuses the same inputs with the same messages.
+    Each box is half-open with x1 >= x0 and y1 >= y0, and may be empty.
+    """
     if not 1.0 <= w_hand < math.inf:
         raise ValueError(f"w_hand must be a finite number >= 1, got {w_hand}")
     if not 0.0 <= tau_hand <= 1.0:
@@ -89,12 +97,18 @@ def build_weight_map(frame: PoseFrame, tau_hand: float, pad_frac: float,
     if height * width > MAX_ELEMENTS:
         raise ValueError(f"weight map {width}x{height} exceeds {MAX_ELEMENTS} "
                          f"elements")
+    return tuple(hand_bbox(frame, side, pad_frac, width, height)
+                 for side in ("left", "right")
+                 if hand_reliability(frame, side, tau_hand))
+
+
+def build_weight_map(frame: PoseFrame, tau_hand: float, pad_frac: float,
+                     w_hand: float, width: int, height: int) -> LossWeightMap:
+    """Per-pixel loss weights: w_hand inside reliable hand boxes, 1 elsewhere."""
+    boxes = hand_boxes(frame, tau_hand, pad_frac, w_hand, width, height)
     data = np.ones((height, width))
-    for side in ("left", "right"):
-        if hand_reliability(frame, side, tau_hand):
-            # half-open box with x1 >= x0 and y1 >= y0: empty is a no-op
-            x0, y0, x1, y1 = hand_bbox(frame, side, pad_frac, width, height)
-            data[y0:y1, x0:x1] = w_hand
+    for x0, y0, x1, y1 in boxes:  # an empty box is a no-op
+        data[y0:y1, x0:x1] = w_hand
     return LossWeightMap(width, height, data)
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,9 @@ from posefuse import cli
 from posefuse.cli import main
 from posefuse.config import DENOISER_KINDS, RunConfig
 from posefuse.fusion import FUSION_MODES
+from posefuse.io_formats import mmtl_encode, pgm_encode
+from posefuse.pose import parse_pose_sequence
+from posefuse.regions import build_weight_map
 from posefuse.skeleton import WHOLEBODY_133
 
 from conftest import person_keypoints, pose_doc, read_mmtl, read_raster
@@ -434,13 +438,103 @@ def test_weight_map_hand_at_float_extreme_returns_2(tmp_path, capsys,
 
 def test_weight_map_w_hand_past_float32_returns_2(tmp_path, pose_file,
                                                   capsys):
-    out = tmp_path / "wm.mmtl"
+    out = tmp_path / "new" / "wm.mmtl"
     rc = main(["weight-map", "--poses", str(pose_file), "--frame", "0",
                "--w-hand", "1e308", "--out", str(out)])
     assert rc == 2
     assert "overflow float32" in capsys.readouterr().err
-    assert not out.exists()
-    assert not out.with_suffix(".pgm").exists()
+    assert not out.parent.exists()
+
+
+def hands_doc(width, height, left, right):
+    """A one-frame document whose hands sit where left and right say.
+
+    Each is None for an unreliable hand (one keypoint at confidence
+    0.3), or (x, y, collapsed): the hand's root moves to the normalized
+    point (x, y), and a collapsed hand has all 21 keypoints there.
+    """
+    kp = person_keypoints()
+    for side, place in (("left", left), ("right", right)):
+        idxs = list(WHOLEBODY_133.hand_indices(side))
+        if place is None:
+            kp[idxs[5], 2] = 0.3
+            continue
+        x, y, collapsed = place
+        if collapsed:
+            kp[idxs, :2] = (x, y)
+        else:
+            kp[idxs, :2] += np.subtract((x, y), kp[idxs[0], :2])
+    return pose_doc([kp], width=width, height=height)
+
+
+# 1 + 2**-30 rounds to 1.0 in float32 but is > 1 in the float64 map;
+# 3.5e38 and 1e308 overflow float32
+W_HANDS = [1.0, 1.0 + 2.0 ** -30, 1.1, 10.0, 3.5e38, 1e308]
+# roots from inside the canvas to past its edges, where a box is clipped
+# or misses the canvas altogether
+HAND_PLACES = st.none() | st.tuples(st.floats(-0.3, 1.3), st.floats(-0.3, 1.3),
+                                   st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 48), height=st.integers(1, 48),
+       left=HAND_PLACES, right=HAND_PLACES,
+       pad_frac=st.sampled_from([0.0, 0.25, 2.0]),
+       w_hand=st.sampled_from(W_HANDS))
+@example(32, 32, None, None, 0.25, 1e308).via("no reliable hand")
+@example(32, 32, (1.3, 1.3, False), None, 0.25, 1e308).via("an empty box")
+@example(32, 32, (0.3, 0.5, False), (0.7, 0.5, True), 0.25, 3.5e38).via(
+    "two boxes past float32")
+@example(32, 32, (0.5, 0.5, False), None, 0.25, 1.0 + 2.0 ** -30).via(
+    "a float32 ones payload under a 255 preview")
+def test_weight_map_matches_the_float64_reference(width, height, left, right,
+                                                  pad_frac, w_hand):
+    """The export and preview of build_weight_map's float64 map, or its
+    error, byte for byte."""
+    doc = hands_doc(width, height, left, right)
+    seq = parse_pose_sequence(doc)
+    try:
+        data = build_weight_map(seq.frames[0], 0.6, pad_frac, w_hand,
+                                width, height).data
+        want = (0, mmtl_encode(data),
+                pgm_encode(np.where(data > 1.0, 255, 25).astype(np.uint8)),
+                "")
+    except ValueError as exc:  # FormatError is a ValueError
+        want = (2, None, None, f"error: {exc}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        poses = Path(tmp) / "poses.json"
+        poses.write_bytes(doc)
+        out = Path(tmp) / "new" / "wm.mmtl"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["weight-map", "--poses", str(poses), "--frame", "0",
+                       "--tau-hand", "0.6", "--pad-frac", repr(pad_frac),
+                       "--w-hand", repr(w_hand), "--out", str(out)])
+        if rc == 0:
+            got = (rc, out.read_bytes(), out.with_suffix(".pgm").read_bytes(),
+                   err.getvalue())
+        else:
+            got = (rc, None, None, err.getvalue())
+            assert not out.parent.exists()
+    assert got == want
+
+
+def test_weight_map_peak_memory_under_12_bytes_per_pixel(tmp_path):
+    # a float32 payload (4 B/px), its encoded bytes (4) and the uint8
+    # preview (1); a float64 map and its float32 cast would add 12
+    path = tmp_path / "one.json"
+    path.write_bytes(pose_doc([person_keypoints()], width=576, height=1024))
+    out = tmp_path / "wm.mmtl"
+    tracemalloc.start()
+    try:
+        rc = main(["weight-map", "--poses", str(path), "--frame", "0",
+                   "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert set(np.unique(read_mmtl(out.read_bytes()))) == {1.0, 10.0}
+    assert peak < 12 * 576 * 1024
 
 
 # ---- longvideo --------------------------------------------------------------

@@ -11,8 +11,7 @@ from posefuse.io_formats import (FormatError, load_posenet_weights,
                                  mmtl_decode_at, mmtl_encode, pgm_encode,
                                  posenet_weights_bytes,
                                  posenet_weights_from_bytes,
-                                 save_posenet_weights, weight_map_preview,
-                                 write_ppm)
+                                 save_posenet_weights, write_ppm)
 from posefuse.posenet import init_posenet_weights
 
 from conftest import read_mmtl
@@ -208,13 +207,6 @@ def test_encoders_match_tobytes_on_non_contiguous_input(tmp_path):
         expect = (MMTL_HEADER_3D + struct.pack("<3I", *a.shape)
                   + f32.tobytes())
         assert mmtl_encode(a) == expect
-
-
-def test_weight_map_preview_levels():
-    w = np.array([[1.0, 10.0], [2.5, 1.0]])
-    np.testing.assert_array_equal(weight_map_preview(w),
-                                  [[25, 255], [255, 25]])
-    assert weight_map_preview(w).dtype == np.uint8
 
 
 # ---- model weight files --------------------------------------------------

@@ -654,6 +654,28 @@ def test_run_long_denoise_keeps_no_reference_to_its_stack():
     assert len(stacks) == 5 and stacks[-1]() is None
 
 
+def test_run_long_denoise_frees_the_denoiser_before_assembly(monkeypatch):
+    # a phase instance holds the whole plan's target, as large as the stack
+    plan = plan_segments(40, 16, 6)
+    shape = (2, 32, 32)
+    refs, alive = [], []
+
+    def build():
+        den = make_phase_instance(plan, shape, 3)
+        refs.append(weakref.ref(den))
+        return den
+
+    def spy(latents, plan):
+        alive.append(refs[0]() is not None)
+        return assemble(latents, plan)
+
+    monkeypatch.setattr(fusion, "assemble", spy)
+    video = run_long_denoise(build(), None, plan, 3, "progressive", 3,
+                             latent_shape=shape)
+    assert alive == [False]
+    assert video.shape == (40,) + shape
+
+
 def helper_threads():
     return {t.ident for t in threading.enumerate()
             if t.name == "posefuse-halves"}

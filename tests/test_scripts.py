@@ -120,3 +120,29 @@ def test_scripts_reject_out_of_range_arguments(name, args, message, capsys,
     assert captured.out == ""
     assert message in captured.err
     assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--context-overlap", "16"],
+     "overlap must be smaller than segment length"),
+    (["--total-frames", "2000000", "--size", "512"],
+     "segment latents exceed 67108864 elements"),
+    (["--total-frames", "30000000", "--size", "512"],
+     "segment latents exceed 67108864 elements"),
+], ids=["overlap", "2e6-frames", "3e7-frames"])
+def test_run_fusion_ablation_checks_sizes_before_planning(args, message,
+                                                          capsys):
+    # a plan holds one start per segment, so building it first costs
+    # memory in proportion to the frame count before the refusal
+    script = load_script("run_fusion_ablation")
+
+    def no_plan(*_args):
+        raise AssertionError("the plan was built before the size checks")
+
+    script.plan_segments = no_plan
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
