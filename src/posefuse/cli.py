@@ -9,29 +9,21 @@ loss weights (MMTL plus a PGM preview) by painting the boxes of
 workload and reports seam metrics. All outputs are byte-deterministic
 for a given command line and seed.
 
-``render-pose`` is a two-stage pipeline with one frame in flight: while
-the main thread draws frame i + 1, a writer thread streams frame i to
-disk with ``write_ppm``, straight from the image's buffer. The writer
-is joined before the next frame is handed over and before the command
-returns, so a failed write is raised in frame order and no later frame
-is written. The writer calls nothing but ``write_ppm``.
-
-``longvideo`` splits the loop's stages across two cores through
-``diffusion._halves``: its helper thread starts on first use, lives for
-the rest of the process and holds no array between calls.
+``render-pose`` writes frame i - 1 on the helper thread of
+``diffusion._both`` while the main thread draws frame i, and
+``longvideo`` splits its loop's stages over the same thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .diffusion import (linear_beta_schedule, make_phase_instance,
+from .diffusion import (_both, linear_beta_schedule, make_phase_instance,
                         make_toy_denoiser)
 from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
                      frame_difference_profile, plan_segments,
@@ -47,51 +39,23 @@ def _read_poses(path: str):
     return parse_pose_sequence(Path(path).read_bytes())
 
 
-class _FrameWriter:
-    """Writes one PPM at a time on a thread of its own.
-
-    ``put`` waits for the previous write before starting the next, and
-    ``wait`` raises a failed write's error in the calling thread.
-    """
-
-    def __init__(self):
-        self._thread: threading.Thread | None = None
-        self._error: Exception | None = None
-
-    def _write(self, path: Path, image: np.ndarray) -> None:
-        try:
-            write_ppm(path, image)
-        except Exception as exc:  # raised again by wait()
-            self._error = exc
-
-    def wait(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def put(self, path: Path, image: np.ndarray) -> None:
-        self.wait()
-        self._thread = threading.Thread(target=self._write, args=(path, image))
-        self._thread.start()
-
-
 def _cmd_render_pose(args: argparse.Namespace) -> int:
     seq = _read_poses(args.poses)
     style = RenderStyle(confidence_mode=args.mode, threshold=args.tau)
     out = Path(args.out)
-    writer = _FrameWriter()
-    try:
-        for i, frame in enumerate(seq.frames):
-            image = render_frame_u8(frame, style, args.width, args.height)
-            if i == 0:  # a canvas render_frame_u8 rejects leaves no directory
-                out.mkdir(parents=True, exist_ok=True)
-            writer.put(out / f"frame_{i:05d}.ppm", image)
-    finally:
-        # a failed write of frame i outranks an error drawing frame i + 1
-        writer.wait()
+    drawn = [render_frame_u8(seq.frames[0], style, args.width, args.height)]
+    # a canvas render_frame_u8 rejects leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
+    for i in range(1, len(seq) + 1):
+        image = drawn.pop()
+
+        def draw() -> None:
+            if i < len(seq):
+                drawn.append(render_frame_u8(seq.frames[i], style,
+                                             args.width, args.height))
+
+        # a failed write of frame i - 1 outranks an error drawing frame i
+        _both(lambda: write_ppm(out / f"frame_{i - 1:05d}.ppm", image), draw)
     return 0
 
 

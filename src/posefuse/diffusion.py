@@ -8,12 +8,10 @@ Toy denoisers satisfy the same call contract as the real video model,
 and stand in for it everywhere; the long-video loop hands them its
 whole (S, N, C, H, W) segment stack in one call per step.
 
-The long-video stages split their work in two with ``_halves``: the
-first half runs on one helper thread, started on first use and kept for
-the life of the process, while the caller runs the second. The pull
-denoiser splits its chunks and the phase instance its target build this
-way; each element is still computed once, by the same operations, so
-the bits do not depend on the split.
+The pull denoiser's chunks and the phase instance's target build run
+in two halves on two cores through ``_halves``; ``_both`` describes the
+helper thread behind it. Each element is still computed once, by the
+same operations, so the bits do not depend on the split.
 """
 
 from __future__ import annotations
@@ -221,7 +219,7 @@ Denoiser = Callable[[np.ndarray, Condition, int], None]
 
 
 class _Helper:
-    """The daemon thread that runs the first half of a ``_halves`` call.
+    """The daemon thread that runs the ``first`` side of a ``_both`` call.
 
     ``go`` and ``done`` are locks used as one-shot signals: the caller
     releases ``go`` once ``task`` is set, and the helper releases
@@ -242,50 +240,62 @@ class _Helper:
     def _serve(self) -> None:
         while True:
             self.go.acquire()
-            context, fn, stop = self.task
+            context, fn = self.task
             self.task = None
             try:
-                context.run(fn, 0, stop)
-            except BaseException as exc:  # raised again by _halves
+                context.run(fn)
+            except BaseException as exc:  # raised again by _both
                 self.error = exc
             del context, fn
             self.done.release()
 
 
 _helper: _Helper | None = None
-_helper_lock = threading.Lock()  # one _halves call at a time
+_helper_lock = threading.Lock()  # one _both call at a time
 
 
-def _halves(fn: Callable[[int, int], None], n: int) -> None:
-    """Run fn(0, n // 2) on the helper thread and fn(n // 2, n) here.
+def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
+    """Run first() on the package's helper thread and second() here.
 
-    The halves run at the same time and must write disjoint data. The
-    helper's half runs in a copy of the caller's context, so numpy's
-    ``errstate`` holds in both. Returns once both halves are done, and
-    raises the helper's error if the caller's half raised none. A helper
-    lost to ``fork``, or left running by an interrupted wait, is
-    replaced by a fresh one.
+    This is the package's one extra thread: a daemon started on first
+    use and kept for the life of the process. The two sides run at the
+    same time and must not touch the same data; first() runs in a copy
+    of the caller's context, so numpy's ``errstate`` holds in both.
+    Returns once both sides are done. When both raise, first's error is
+    the one raised, as the callers give first the earlier work. Calls
+    from several threads take turns; neither side may call ``_both``
+    or ``_halves``, as the lock is not reentrant. A helper lost to
+    ``fork``, or left running by an interrupted wait, is replaced by a
+    fresh one.
     """
     global _helper
-    half = n // 2
-    if half == 0:
-        fn(0, n)
-        return
     with _helper_lock:
         helper = _helper
         if helper is None or not helper.thread.is_alive():
             helper = _Helper()
         _helper = None  # until this call's wait completes
-        helper.task = (contextvars.copy_context(), fn, half)
+        helper.task = (contextvars.copy_context(), first)
         helper.go.release()
         try:
-            fn(half, n)
+            second()
         finally:
             helper.done.acquire()
             _helper = helper
             error, helper.error = helper.error, None
-        if error is not None:
-            raise error
+            if error is not None:
+                raise error
+
+
+def _halves(fn: Callable[[int, int], None], n: int) -> None:
+    """Run fn(0, n // 2) and fn(n // 2, n) as the two sides of ``_both``.
+
+    The halves must write disjoint data; with n < 2, fn(0, n) runs here.
+    """
+    half = n // 2
+    if half == 0:
+        fn(0, n)
+    else:
+        _both(lambda: fn(0, half), lambda: fn(half, n))
 
 
 # elements per chunk of the in-place pull; a private constant, not an option

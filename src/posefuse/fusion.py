@@ -13,12 +13,11 @@ segment the remainder, so each transition inside the overlap moves by
 at most 1/(C+1) of the disagreement. Uniform fusion (plain averaging of
 all copies) and no fusion are kept alongside as ablation baselines.
 
-The loop runs on two cores. The initial noise draws (split over
-segments) and the fusion walk (split over shared frames) each run as
-two halves through ``diffusion._halves``, one on its helper thread and
-one on the caller's, while the denoiser is still called once per step
-from the caller's thread. No frame belongs to both halves, so the bits
-are those of a single-threaded run.
+The initial noise draws (split over segments) and the fusion walk
+(split over shared frames) each run in two halves on two cores through
+``diffusion._halves`` (see ``diffusion._both``), while the denoiser is
+still called once per step from the caller's thread. No frame belongs
+to both halves, so the bits are those of a single-threaded run.
 """
 
 from __future__ import annotations

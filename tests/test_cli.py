@@ -230,6 +230,25 @@ def assert_frames(out, clean, count, blocker=None):
     assert sorted(p.name for p in out.iterdir()) == names
 
 
+def main_on_the_helper_only(args):
+    """main(args), checking that it starts no thread but diffusion's
+    helper and leaves no other thread running."""
+    before, started = set(threading.enumerate()), []
+    start = threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", recorded_start)
+        rc = main(args)
+    assert set(started) <= {"posefuse-halves"}
+    assert {t for t in threading.enumerate()
+            if t.name != "posefuse-halves"} <= before
+    return rc
+
+
 def failing_on(index, original):
     """render_frame_u8 that runs out of memory on the frame at index."""
     calls = []
@@ -248,9 +267,7 @@ def test_render_pose_write_failure_stops_in_frame_order(tmp_path, five_frames,
     poses, clean = five_frames
     out = tmp_path / "frames"
     (out / "frame_00003.ppm").mkdir(parents=True)
-    threads = threading.active_count()
-    assert main(render_args(poses, out)) == 2
-    assert threading.active_count() == threads
+    assert main_on_the_helper_only(render_args(poses, out)) == 2
     assert "error:" in capsys.readouterr().err
     assert_frames(out, clean, 3, blocker="frame_00003.ppm")
 
@@ -261,9 +278,7 @@ def test_render_pose_render_failure_keeps_earlier_frames(
     monkeypatch.setattr(cli, "render_frame_u8",
                         failing_on(2, cli.render_frame_u8))
     out = tmp_path / "frames"
-    threads = threading.active_count()
-    assert main(render_args(poses, out)) == 2
-    assert threading.active_count() == threads
+    assert main_on_the_helper_only(render_args(poses, out)) == 2
     assert "error: Unable to allocate" in capsys.readouterr().err
     assert_frames(out, clean, 2)
 
@@ -276,9 +291,7 @@ def test_render_pose_reports_a_failed_write_before_a_later_render_error(
                         failing_on(3, cli.render_frame_u8))
     out = tmp_path / "frames"
     (out / "frame_00002.ppm").mkdir(parents=True)
-    threads = threading.active_count()
-    assert main(render_args(poses, out)) == 2
-    assert threading.active_count() == threads
+    assert main_on_the_helper_only(render_args(poses, out)) == 2
     err = capsys.readouterr().err
     assert "frame_00002.ppm" in err and "Unable to allocate" not in err
     assert_frames(out, clean, 2, blocker="frame_00002.ppm")
@@ -297,7 +310,7 @@ def test_render_pose_keeps_one_frame_in_flight(tmp_path, five_frames,
         return render(*args)
 
     def recorded_write(path, image):
-        writers.add(threading.current_thread())
+        writers.add(threading.current_thread().name)
         write(path, image)
         done.append(path.name)
 
@@ -306,14 +319,14 @@ def test_render_pose_keeps_one_frame_in_flight(tmp_path, five_frames,
     out = tmp_path / "frames"
     assert main(render_args(poses, out)) == 0
     assert done == [f"frame_{i:05d}.ppm" for i in range(5)]
-    assert threading.main_thread() not in writers
-    assert all(not t.is_alive() for t in writers)
+    assert writers == {"posefuse-halves"}
     assert_frames(out, clean, 5)
 
 
 def test_cli_import_loads_no_executor_or_event_loop():
-    # set-up time is measured end to end: the writer and the long-video
-    # helper use bare threading
+    # set-up time is measured end to end: diffusion._both's helper, which
+    # writes render-pose's frames and runs longvideo's halves, uses bare
+    # threading
     src = str(Path(posefuse.__file__).resolve().parent.parent)
     code = (f"import sys\nsys.path.insert(0, {src!r})\n"
             "import posefuse.cli\n"

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import signal
@@ -6,13 +7,14 @@ import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posefuse import diffusion, fusion
+from posefuse import cli, diffusion, fusion
 from posefuse.diffusion import (Condition, make_phase_instance,
                                 make_toy_denoiser)
 from posefuse.fusion import (FUSION_MODES, SegmentPlan, _boundary_transitions,
@@ -20,6 +22,8 @@ from posefuse.fusion import (FUSION_MODES, SegmentPlan, _boundary_transitions,
                              frame_difference_profile, fuse_segments,
                              overlap_weights, plan_segments, run_long_denoise)
 from posefuse.seeding import stream_rng
+
+from conftest import person_keypoints, pose_doc
 
 
 def seg_noise(plan, shape=(2, 3, 3), seed=0):
@@ -646,6 +650,44 @@ def test_halves_raise_the_helpers_error_and_keep_working():
         assert run_phase("uniform").tobytes() == expect.tobytes()
 
 
+def thread_constructions(node, scope=()):
+    """The definitions, as dotted names, holding each Thread(...) call
+    under node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            found += thread_constructions(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call) and (
+                getattr(child.func, "attr", None) == "Thread"
+                or getattr(child.func, "id", None) == "Thread"):
+            found.append(".".join(scope))
+        found += thread_constructions(child, scope)
+    return found
+
+
+def test_the_package_constructs_threads_only_in_the_helper():
+    # one helper thread serves every caller; see diffusion._both
+    found = []
+    for path in sorted(Path(diffusion.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}.{name}" for name in thread_constructions(tree)]
+    assert found == ["diffusion._Helper.__init__"]
+
+
+def test_both_sides_failing_raise_the_helpers_error():
+    # the helper's side holds the earlier work, so its error ranks first
+    def fail(side):
+        raise KeyError(side)
+
+    with pytest.raises(KeyError, match="helper half"):
+        diffusion._halves(lambda lo, hi: fail(
+            "caller half" if lo else "helper half"), 4)
+    with pytest.raises(KeyError, match="first"):
+        diffusion._both(lambda: fail("first"), lambda: fail("second"))
+
+
 def test_run_long_denoise_keeps_no_reference_to_its_stack():
     # the helper drops its last task before it signals done
     stacks = []
@@ -681,15 +723,42 @@ def helper_threads():
             if t.name == "posefuse-halves"}
 
 
-def test_run_long_denoise_from_several_threads_matches_serial():
-    modes = FUSION_MODES + ("progressive",)
-    expect = {mode: run_phase(mode).tobytes() for mode in FUSION_MODES}
+def write_poses(tmp_path):
+    """A four-frame pose file."""
+    frames = []
+    for f in range(4):
+        kp = person_keypoints()
+        kp[:, 0] += 0.01 * f
+        frames.append(kp)
+    poses = tmp_path / "poses.json"
+    poses.write_bytes(pose_doc(frames, width=64, height=64))
+    return poses
+
+
+def render_pose(poses, out):
+    """The bytes of each frame posefuse render-pose writes at 48x48."""
+    assert cli.main(["render-pose", "--poses", str(poses), "--out", str(out),
+                     "--width", "48", "--height", "48"]) == 0
+    return [path.read_bytes() for path in sorted(out.iterdir())]
+
+
+def test_run_long_denoise_from_several_threads_matches_serial(tmp_path):
+    # render-pose writes its frames on the same helper
+    poses = write_poses(tmp_path)
+    modes = FUSION_MODES + ("progressive", "render-pose", "render-pose")
+
+    def run(name, mode):
+        if mode == "render-pose":
+            return render_pose(poses, tmp_path / name)
+        return run_phase(mode).tobytes()
+
+    expect = {mode: run("serial", mode) for mode in set(modes)}
     helpers = helper_threads()
     got, errors = {}, []
 
     def worker(i, mode):
         try:
-            got[i] = run_phase(mode).tobytes()
+            got[i] = run(f"frames_{i}", mode)
         except Exception as exc:
             errors.append(exc)
 
@@ -743,13 +812,17 @@ def test_halves_replace_a_helper_left_running_by_an_interrupted_wait():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_run_long_denoise_in_a_forked_child():
+def test_run_long_denoise_in_a_forked_child(tmp_path):
+    poses = write_poses(tmp_path)
+    frames = render_pose(poses, tmp_path / "parent")
     expect = run_phase("progressive").tobytes()  # the helper is running
     pid = os.fork()
     if pid == 0:  # the child reports through its exit status only
         code = 1
         try:
-            code = 0 if run_phase("progressive").tobytes() == expect else 3
+            same = [run_phase("progressive").tobytes() == expect,
+                    render_pose(poses, tmp_path / "child") == frames]
+            code = 0 if all(same) else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60

@@ -1,8 +1,8 @@
 """The benchmark's tracer reads the package from outside: it wraps
 functions on ``posefuse.cli`` and reads ``SegmentPlan`` fields. Run it on
-a small ``longvideo`` workload and on ``render-pose``, whose writer
-thread must call no wrapped function, so a change to either side shows
-here.
+a small ``longvideo`` workload and on ``render-pose``, whose writes on
+the helper thread must call no wrapped function, so a change to either
+side shows here.
 """
 
 import json
@@ -83,7 +83,7 @@ def test_tracer_reads_render_pose_runs(tmp_path):
     finally:
         tracer.remove()
     # the tracer keeps one span stack: the only wrapped call is the parse
-    # on the main thread, none comes from the frame writer
+    # on the main thread, none comes from the helper that writes frames
     assert [span[0] for span in tracer.spans] == ["parse_pose_sequence"]
     assert tracer.values["pose.frames"] == len(frames)
     assert tracer.values.get("io_formats.mb_out", 0.0) == 0.0
