@@ -86,14 +86,12 @@ def _validate(cfg: RunConfig) -> None:
 
     # the seam metrics need a frame-to-frame difference
     need(cfg.total_frames >= 2, "total_frames must be >= 2")
-    need(0 < cfg.context_overlap < cfg.segment_length,
-         "overlap must be smaller than segment length")
     need(cfg.steps >= 1, "steps must be >= 1")
     need(0 <= cfg.seed < 2 ** 64, "seed must fit in 64 bits")
     need(cfg.latent_channels >= 1 and cfg.latent_height >= 1
          and cfg.latent_width >= 1, "latent dims must be >= 1")
     shape = (cfg.latent_channels, cfg.latent_height, cfg.latent_width)
-    try:  # the segment stack run_long_denoise allocates
+    try:  # the overlap, then the segment stack run_long_denoise allocates
         _check_stack_size(cfg.total_frames, cfg.segment_length,
                           cfg.context_overlap, shape)
     except ValueError as exc:

@@ -353,7 +353,19 @@ def _boundary_transitions(plan: SegmentPlan) -> tuple[int, ...]:
     starts = np.asarray(plan.starts)
     ends = starts + plan.frames_per_segment
     marks = np.clip([starts[1:] - 1, ends[:-1] - 1], 0, plan.total_frames - 2)
-    return tuple(np.unique(marks).tolist())
+    # sorted(set()), not np.unique, which imports numpy.ma (see _median)
+    return tuple(sorted(set(marks.ravel().tolist())))
+
+
+def _median(x: np.ndarray) -> np.float64:
+    """np.median of a 1-D float array, bit for bit, NaN included, minus
+    its first-use import of numpy.ma: mid-run, that import pinned a run's
+    freed buffers, so later runs' peak memory hung on where it landed."""
+    v = np.sort(x)  # NaNs sort last
+    if np.isnan(v[-1]):
+        return v[-1]
+    m = len(v) // 2  # the mean of the middle one or two, as np.median takes
+    return np.mean(v[m - 1 + len(v) % 2:m + 1])
 
 
 def boundary_jump_metric(profile: np.ndarray, plan: SegmentPlan) -> float:
@@ -364,5 +376,5 @@ def boundary_jump_metric(profile: np.ndarray, plan: SegmentPlan) -> float:
     if not marks:
         return 0.0
     interior = np.delete(profile, marks)
-    baseline = np.median(interior) if interior.size else np.median(profile)
+    baseline = _median(interior if interior.size else profile)
     return float(np.max(profile[marks]) - baseline)

@@ -5,13 +5,15 @@ MMTL is a minimal little-endian tensor container:
     magic "MMTL" | version byte (1) | dtype byte (1 = float32) |
     ndim byte | ndim x uint32 dims (LE) | row-major float32 payload
 
+A PoseNet weight file is the MMTL stream of each layer's kernel and then
+its bias, in LAYER_SPECS order, with nothing before, between or after.
+
 Writers always produce canonical bytes, so write -> read -> write is
 byte-identical, which the deterministic CLI outputs rely on.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from pathlib import Path
@@ -67,7 +69,7 @@ def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     end = dims_end + 4 * count
     if len(data) < end:
         raise FormatError(f"MMTL payload truncated: need {4 * count} bytes")
-    arr = np.frombuffer(data[dims_end:end], dtype="<f4").reshape(dims)
+    arr = np.frombuffer(data, "<f4", count, dims_end).reshape(dims)
     return arr.copy(), end
 
 
@@ -93,53 +95,27 @@ def pgm_encode(gray_u8: np.ndarray) -> bytes:
 
 
 def posenet_weights_bytes(weights: PoseNetWeights) -> bytes:
-    """One JSON manifest line, then kernel/bias MMTL blobs in layer order."""
-    manifest = {
-        "format": "posenet-weights",
-        "layers": [
-            {"name": name, "kernel": list(kern.shape), "bias": list(bias.shape)}
-            for (name, *_), kern, bias in zip(LAYER_SPECS, weights.kernels,
-                                              weights.biases)
-        ],
-    }
-    blob = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode() + b"\n"
-    for kern, bias in zip(weights.kernels, weights.biases):
-        blob += mmtl_encode(kern) + mmtl_encode(bias)
-    return blob
+    """Each layer's kernel, then its bias, as MMTL in LAYER_SPECS order."""
+    pairs = zip(weights.kernels, weights.biases)
+    return b"".join(mmtl_encode(t) for pair in pairs for t in pair)
 
 
 def posenet_weights_from_bytes(data: bytes) -> PoseNetWeights:
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise FormatError("missing manifest line")
-    try:
-        manifest = json.loads(data[:nl])
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
-        # integer over the interpreter's digit limit; deep nesting recurses
-        raise FormatError("malformed manifest") from exc
-    layers = manifest.get("layers") if isinstance(manifest, dict) else None
-    if not isinstance(layers, list) or len(layers) != len(LAYER_SPECS):
-        raise FormatError(f"manifest must list {len(LAYER_SPECS)} layers")
-    kernels = []
-    biases = []
-    offset = nl + 1
-    for entry, (name, cin, cout, k, _s, _p) in zip(layers, LAYER_SPECS):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{name}: layer entry must be an object")
-        if entry.get("name") != name:
-            raise FormatError(f"layer name {entry.get('name')!r:.40} != {name!r}")
-        kern, offset = mmtl_decode_at(data, offset)
-        bias, offset = mmtl_decode_at(data, offset)
-        if (list(kern.shape) != entry.get("kernel")
-                or list(bias.shape) != entry.get("bias")):
-            raise FormatError(f"{name}: tensor shapes disagree with manifest")
-        kernels.append(kern.astype(np.float64))
-        biases.append(bias.astype(np.float64))
+    tensors = []
+    offset = 0
+    for name, *_ in LAYER_SPECS:
+        for part in ("kernel", "bias"):
+            try:
+                arr, offset = mmtl_decode_at(data, offset)
+            except FormatError as exc:
+                raise FormatError(f"{name} {part}: {exc}") from None
+            # a signalling NaN warns in the cast; PoseNetWeights rejects it
+            with np.errstate(invalid="ignore"):
+                tensors.append(arr.astype(np.float64))
     if offset != len(data):
         raise FormatError("trailing bytes after weight tensors")
     try:  # shapes that disagree with LAYER_SPECS, or NaN and inf values
-        return PoseNetWeights(tuple(kernels), tuple(biases))
+        return PoseNetWeights(tuple(tensors[0::2]), tuple(tensors[1::2]))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -337,6 +337,22 @@ def test_cli_import_loads_no_executor_or_event_loop():
     assert result.stdout.strip() == "[]"
 
 
+def test_longvideo_imports_no_numpy_ma(tmp_path):
+    # numpy.ma loads on first use of np.median or np.unique; imported in
+    # the middle of a run, its objects land among the run's large freed
+    # buffers and pin the heap, so a later run's peak memory depends on
+    # where they fell
+    src = str(Path(posefuse.__file__).resolve().parent.parent)
+    cfg = write_config(tmp_path)
+    code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+            "from posefuse.cli import main\n"
+            f"assert main(['longvideo', '--config', {str(cfg)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_package_import_binds_only_its_version():
     # submodules are the import surface; the package loads none of them
     src = str(Path(posefuse.__file__).resolve().parent.parent)

@@ -1,5 +1,8 @@
-import json
+import itertools
+import operator
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from posefuse.io_formats import (FormatError, load_posenet_weights,
                                  posenet_weights_bytes,
                                  posenet_weights_from_bytes,
                                  save_posenet_weights, write_ppm)
-from posefuse.posenet import init_posenet_weights
+from posefuse.posenet import LAYER_SPECS, init_posenet_weights
 
 from conftest import read_mmtl
 
@@ -81,10 +84,20 @@ def test_mmtl_concatenated_stream():
 
 
 def test_mmtl_file_roundtrip(tmp_path):
-    arr = np.random.default_rng(2).normal(size=(3, 2, 2)).astype(np.float32)
+    arr = np.random.default_rng(2).normal(size=(1024, 1024)).astype(np.float32)
     path = tmp_path / "t.mmtl"
     path.write_bytes(mmtl_encode(arr))
-    np.testing.assert_array_equal(read_mmtl(path.read_bytes()), arr)
+    blob = path.read_bytes()
+    tracemalloc.start()
+    try:
+        out = read_mmtl(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, arr)
+    # one copy of the payload, which the result owns and may write to
+    assert peak <= 1.1 * arr.nbytes
+    assert out.flags.owndata and out.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,150 +224,117 @@ def test_encoders_match_tobytes_on_non_contiguous_input(tmp_path):
 
 # ---- model weight files --------------------------------------------------
 
+_WEIGHTS = init_posenet_weights(seed=0)
+# each layer's kernel then its bias, in LAYER_SPECS order
+_TENSORS = [mmtl_encode(t) for pair in zip(_WEIGHTS.kernels, _WEIGHTS.biases)
+            for t in pair]
+VALID_WEIGHTS = b"".join(_TENSORS)
+_HEADERS = list(itertools.accumulate(map(len, _TENSORS[:-1]), initial=0))
+
+
 def test_posenet_weights_roundtrip(tmp_path):
-    weights = init_posenet_weights(seed=0)
     path = tmp_path / "w.pnw"
-    save_posenet_weights(path, weights)
+    save_posenet_weights(path, _WEIGHTS)
     loaded = load_posenet_weights(path)
-    for orig, back in zip(weights.kernels, loaded.kernels):
+    for orig, back in zip(_WEIGHTS.kernels, loaded.kernels):
         np.testing.assert_array_equal(back, orig.astype(np.float32))
-    for orig, back in zip(weights.biases, loaded.biases):
+    for orig, back in zip(_WEIGHTS.biases, loaded.biases):
         np.testing.assert_array_equal(back, orig.astype(np.float32))
     # round trip through the loaded copy is canonical
     assert posenet_weights_bytes(loaded) == path.read_bytes()
 
 
-def test_posenet_weights_manifest_line():
-    blob = posenet_weights_bytes(init_posenet_weights(seed=1))
-    manifest = json.loads(blob[:blob.index(b"\n")])
-    assert manifest["format"] == "posenet-weights"
-    assert len(manifest["layers"]) == 9
-    assert manifest["layers"][0]["name"] == "conv_in"
-    assert manifest["layers"][0]["kernel"] == [3, 3, 3, 3]
-    assert manifest["layers"][0]["bias"] == [3]
+def test_posenet_weights_file_layout():
+    weights = init_posenet_weights(seed=1)
+    blob = posenet_weights_bytes(weights)
+    assert blob == b"".join(mmtl_encode(k) + mmtl_encode(b)
+                            for k, b in zip(weights.kernels, weights.biases))
+    shapes, offset = [], 0
+    while offset < len(blob):
+        arr, offset = mmtl_decode_at(blob, offset)
+        shapes.append(arr.shape)
+    assert shapes == [shape for _n, cin, cout, k, _s, _p in LAYER_SPECS
+                      for shape in ((cout, cin, k, k), (cout,))]
 
 
 def test_posenet_weights_errors():
-    blob = posenet_weights_bytes(init_posenet_weights(seed=0))
-    with pytest.raises(FormatError, match="manifest"):
-        posenet_weights_from_bytes(b"no newline here")
-    with pytest.raises(FormatError, match="manifest"):
-        posenet_weights_from_bytes(b"{not json\n" + blob)
-    nl = blob.index(b"\n")
-    manifest = json.loads(blob[:nl])
-    manifest["layers"][0]["name"] = "stem"
-    tampered = (json.dumps(manifest, separators=(",", ":"),
-                           sort_keys=True).encode() + blob[nl:])
-    with pytest.raises(FormatError, match="stem"):
-        posenet_weights_from_bytes(tampered)
     with pytest.raises(FormatError, match="trailing"):
-        posenet_weights_from_bytes(blob + b"\x00")
-    short = json.dumps({"format": "posenet-weights", "layers": []}).encode()
-    with pytest.raises(FormatError, match="layers"):
-        posenet_weights_from_bytes(short + b"\n")
-    # consistent with its own manifest but not with LAYER_SPECS
-    weights = init_posenet_weights(seed=0)
-    manifest = json.loads(blob[:nl])
-    manifest["layers"][8]["bias"] = [321]
-    body = b"".join(mmtl_encode(k) + mmtl_encode(b)
-                    for k, b in zip(weights.kernels[:8], weights.biases[:8]))
-    body += mmtl_encode(weights.kernels[8]) + mmtl_encode(np.zeros(321))
-    with pytest.raises(FormatError, match="conv_out"):
-        posenet_weights_from_bytes(json.dumps(manifest).encode() + b"\n" + body)
+        posenet_weights_from_bytes(VALID_WEIGHTS + b"\x00")
+    with pytest.raises(FormatError, match="conv_out bias: bad magic"):
+        posenet_weights_from_bytes(b"".join(_TENSORS[:17]))
+    swapped = [_TENSORS[1], _TENSORS[0]] + _TENSORS[2:]
+    with pytest.raises(FormatError, match="conv_in: kernel shape"):
+        posenet_weights_from_bytes(b"".join(swapped))
+    wrong_bias = _TENSORS[:17] + [mmtl_encode(np.zeros(321))]
+    with pytest.raises(FormatError, match="conv_out: bias shape"):
+        posenet_weights_from_bytes(b"".join(wrong_bias))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0x7F800000,
+                                  0xFF800000],
+                         ids=["nan", "signalling-nan", "inf", "-inf"])
 @pytest.mark.parametrize("part", ["kernel", "bias"])
-def test_posenet_weights_non_finite_value_is_format_error(part, value):
-    weights = init_posenet_weights(seed=0)
-    kernels, biases = list(weights.kernels), list(weights.biases)
-    tensors = kernels if part == "kernel" else biases
-    tensors[4] = tensors[4].copy()
-    tensors[4].flat[7] = value
-    blob = posenet_weights_bytes(weights)
-    body = b"".join(mmtl_encode(k) + mmtl_encode(b)
-                    for k, b in zip(kernels, biases))
-    with pytest.raises(FormatError, match="mid2"):
-        posenet_weights_from_bytes(blob[:blob.index(b"\n") + 1] + body)
+def test_posenet_weights_non_finite_value_is_format_error(part, bits):
+    # raw float32 bits for value 7 of mid2's kernel or bias: mmtl_encode
+    # of a float64 value cannot give a signalling NaN
+    source = (_WEIGHTS.kernels if part == "kernel" else _WEIGHTS.biases)[4]
+    i = 2 * 4 + (part == "bias")
+    tensor = bytearray(_TENSORS[i])
+    at = len(tensor) - 4 * source.size + 4 * 7  # the payload ends the tensor
+    tensor[at:at + 4] = struct.pack("<I", bits)
+    blob = b"".join(_TENSORS[:i] + [bytes(tensor)] + _TENSORS[i + 1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="mid2"):
+            posenet_weights_from_bytes(blob)
 
 
-VALID_WEIGHTS = posenet_weights_bytes(init_posenet_weights(seed=0))
-_NL = VALID_WEIGHTS.index(b"\n")
-
-
-def _with_manifest(manifest) -> bytes:
-    return json.dumps(manifest).encode() + VALID_WEIGHTS[_NL:]
-
-
-def _with_layer(i: int, entry) -> bytes:
-    manifest = json.loads(VALID_WEIGHTS[:_NL])
-    manifest["layers"][i] = entry
-    return _with_manifest(manifest)
-
-
-@pytest.mark.parametrize("blob", [
-    b"[1]" + VALID_WEIGHTS[_NL:],
-    _with_layer(2, "mid1"),
-    _with_layer(4, {"name": "mid2", "bias": [32]}),
-    b"[" * 100_000 + b"]" * 100_000 + VALID_WEIGHTS[_NL:],
-    b'{"format": "\xff\xfe"}' + VALID_WEIGHTS[_NL:],
-    b'{"layers": ' + b"1" * 5000 + b"}" + VALID_WEIGHTS[_NL:],
+@pytest.mark.parametrize("prefix", [
+    b"[1]",
+    b'{"layers": ["mid1"]}',
+    b'{"layers": [{"name": "mid2", "bias": [32]}]}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"format": "\xff\xfe"}',
+    b'{"layers": ' + b"1" * 5000 + b"}",
 ], ids=["list-manifest", "string-layer-entry", "missing-kernel-key",
         "deep-nesting", "non-utf8", "5000-digit-int"])
-def test_posenet_weights_hostile_manifest_is_format_error(blob):
-    with pytest.raises(FormatError):
-        posenet_weights_from_bytes(blob)
-
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["format", "layers", "name", "kernel",
-                                       "bias"]) | st.text(max_size=4),
-                      inner, max_size=4),
-    max_leaves=12)
+def test_posenet_weights_hostile_manifest_is_format_error(prefix):
+    # a weight file has no manifest line: one before the tensors, as the
+    # earlier format wrote, is refused at the first tensor's magic
+    with pytest.raises(FormatError, match="conv_in kernel: bad magic"):
+        posenet_weights_from_bytes(prefix + b"\n" + VALID_WEIGHTS)
 
 
 @st.composite
 def corrupted_weight_files(draw):
     blob = bytearray(VALID_WEIGHTS)
-    how = draw(st.sampled_from(["flip", "truncate", "insert", "manifest",
-                                "layer", "raw-manifest"]))
+    how = draw(st.sampled_from(["flip", "truncate", "insert", "prefix"]))
     if how == "flip":
+        # bias the positions toward the MMTL headers (at most 23 bytes)
+        at_header = st.builds(operator.add, st.sampled_from(_HEADERS),
+                              st.integers(0, 22))
         for _ in range(draw(st.integers(1, 8))):
-            # bias the positions toward the manifest and the MMTL headers
-            i = draw(st.integers(0, len(blob) - 1)
-                     | st.integers(0, min(len(blob) - 1, _NL + 64)))
+            i = draw(st.integers(0, len(blob) - 1) | at_header)
             blob[i] = draw(st.integers(0, 255))
         return bytes(blob)
     if how == "truncate":
         return bytes(blob[:draw(st.integers(0, len(blob) - 1))])
     if how == "insert":
-        i = draw(st.integers(0, len(blob)))
+        i = draw(st.integers(0, len(blob)) | st.sampled_from(_HEADERS))
         return bytes(blob[:i] + draw(st.binary(min_size=1, max_size=16))
                      + blob[i:])
-    if how == "manifest":
-        return _with_manifest(draw(_json_values))
-    if how == "layer":
-        manifest = json.loads(VALID_WEIGHTS[:_NL])
-        i = draw(st.integers(0, 8))
-        key = draw(st.sampled_from([None, "name", "kernel", "bias"]))
-        value = draw(_json_values)
-        if key is None:
-            manifest["layers"][i] = value
-        else:
-            manifest["layers"][i][key] = value
-        return _with_manifest(manifest)
-    return draw(st.binary(max_size=64)) + VALID_WEIGHTS[_NL:]
+    return draw(st.binary(min_size=1, max_size=64)) + VALID_WEIGHTS
 
 
 @settings(max_examples=100, deadline=None)
 @given(corrupted_weight_files())
 def test_posenet_weights_corruption_raises_only_format_error(blob):
-    try:
-        weights = posenet_weights_from_bytes(blob)
-    except FormatError:
-        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            weights = posenet_weights_from_bytes(blob)
+        except FormatError:
+            return
     # a corruption that decodes must still give a well-formed weight set
     assert len(weights.kernels) == 9
     assert all(np.isfinite(t).all() for t in weights.kernels + weights.biases)

@@ -885,6 +885,25 @@ def test_boundary_metric_flat_profile_nonpositive():
     assert boundary_jump_metric(np.full(35, 0.2), plan) <= 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, np.nan, np.inf]),
+                min_size=1, max_size=9))
+@example([0.0, -0.0])
+@example([-0.0])
+@example([np.inf, -np.inf])
+@example([1.0, np.nan, 2.0])
+def test_median_matches_numpy_bit_for_bit(values):
+    x = np.array(values)
+    with np.errstate(all="ignore"):
+        expect = np.median(x)
+        got = fusion._median(x)
+    assert type(got) is np.float64
+    if np.isnan(expect):
+        assert np.isnan(got)
+    else:
+        assert got.tobytes() == expect.tobytes()
+
+
 def test_boundary_metric_length_check():
     plan = plan_segments(36, 16, 6)
     with pytest.raises(ValueError):

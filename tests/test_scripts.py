@@ -81,7 +81,7 @@ def test_train_hand_weighted(capsys):
     ("train_hand_weighted", ["--lr", "nan"], "--lr must be finite and > 0"),
     ("train_hand_weighted", ["--lr", "0"], "--lr must be finite and > 0"),
     ("train_hand_weighted", ["--w-hand", "inf"],
-     "--w-hand must be finite and > 0"),
+     "--w-hand must be finite and >= 1"),
     ("train_hand_weighted", ["--seed", "-1"], "--seed must be >= 0"),
     # 2 * 9e307 overflows the range the segment offsets are drawn from
     ("run_fusion_ablation", ["--phase-jitter", "9e307"],
@@ -109,6 +109,9 @@ def test_train_hand_weighted(capsys):
     # a 24.4 TiB segment stack, refused before anything is allocated
     ("run_fusion_ablation", ["--total-frames", "2000000", "--size", "512"],
      "segment latents exceed 67108864 elements"),
+    # the package's hand weights are >= 1; below 1 the hand is damped
+    ("train_hand_weighted", ["--w-hand", "0.5"],
+     "--w-hand must be finite and >= 1"),
 ])
 def test_scripts_reject_out_of_range_arguments(name, args, message, capsys,
                                               tmp_path, monkeypatch):
