@@ -12,6 +12,12 @@ for a given command line and seed.
 ``render-pose`` writes frame i - 1 on the helper thread of
 ``diffusion._both`` while the main thread draws frame i, and
 ``longvideo`` splits its loop's stages over the same thread.
+
+Every output goes through ``io_formats.write_file``, so a re-run
+overwrites each artefact in place and cuts it to length instead of
+truncating it to zero first, which on ext4 (``auto_da_alloc``) and XFS
+starts writeback of the file at close. A failed write leaves the file
+cut at the bytes written before the failure.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from .diffusion import (_both, linear_beta_schedule, make_phase_instance,
 from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
                      frame_difference_profile, plan_segments,
                      run_long_denoise)
-from .io_formats import FormatError, mmtl_encode, pgm_encode, write_ppm
+from .io_formats import (FormatError, mmtl_encode, pgm_encode, write_file,
+                         write_ppm)
 from .pose import PoseParseError, parse_pose_sequence
 from .regions import hand_boxes
 from .render import CONFIDENCE_MODES, RenderStyle, render_frame_u8
@@ -87,8 +94,8 @@ def _cmd_weight_map(args: argparse.Namespace) -> int:
             payload[y0:y1, x0:x1] = weight
             gray[y0:y1, x0:x1] = 255
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(mmtl_encode(payload))
-    preview.write_bytes(pgm_encode(gray))
+    write_file(out, mmtl_encode(payload))
+    write_file(preview, pgm_encode(gray))
     return 0
 
 
@@ -124,13 +131,13 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
     latents = mmtl_encode(video)  # latents past float32 leave no directory
     out = Path(cfg.out_dir) / args.mode
     out.mkdir(parents=True, exist_ok=True)
-    (out / "latents.mmtl").write_bytes(latents)
-    (out / "plan.txt").write_text(format_plan(plan) + "\n", encoding="ascii")
-    (out / "profile.txt").write_text(
-        "".join(f"{repr(float(d))}\n" for d in profile), encoding="ascii")
-    (out / "metrics.txt").write_text(
-        f"boundary_jump {repr(jump)}\n"
-        f"mean_d {repr(float(np.mean(profile)))}\n", encoding="ascii")
+    write_file(out / "latents.mmtl", latents)
+    write_file(out / "plan.txt", f"{format_plan(plan)}\n".encode("ascii"))
+    write_file(out / "profile.txt", "".join(
+        f"{repr(float(d))}\n" for d in profile).encode("ascii"))
+    write_file(out / "metrics.txt",
+               f"boundary_jump {repr(jump)}\n"
+               f"mean_d {repr(float(np.mean(profile)))}\n".encode("ascii"))
     return 0
 
 

@@ -9,12 +9,15 @@ A PoseNet weight file is the MMTL stream of each layer's kernel and then
 its bias, in LAYER_SPECS order, with nothing before, between or after.
 
 Writers always produce canonical bytes, so write -> read -> write is
-byte-identical, which the deterministic CLI outputs rely on.
+byte-identical, which the deterministic CLI outputs rely on. Every file
+the package writes goes through ``write_file``, which overwrites in
+place and cuts the file to length.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -73,6 +76,36 @@ def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.copy(), end
 
 
+def write_file(path: str | Path, *parts) -> None:
+    """Write the bytes-like parts to path in order, overwriting in place.
+
+    The path is opened without O_TRUNC and the file is cut at the end of
+    what was written only afterwards, so an existing file keeps its
+    inode and mode and a symlink is written through. ext4 (with its
+    default auto_da_alloc, and XFS alike) starts writeback at close of a
+    file that was truncated to zero and rewritten; this writer never
+    does that. If a part fails to write, the file is still cut at the
+    bytes written before the failure, so no tail of the old file is
+    left. Only a file longer than what was written is cut, so a path
+    such as /dev/null, which cannot be truncated, works too.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    end = 0
+    try:
+        for part in parts:
+            view = memoryview(part).cast("B")
+            while view:  # os.write may write less than it is given
+                n = os.write(fd, view)
+                end += n
+                view = view[n:]
+    finally:
+        try:
+            if os.fstat(fd).st_size > end:
+                os.ftruncate(fd, end)
+        finally:
+            os.close(fd)
+
+
 def write_ppm(path: str | Path, rgb_u8: np.ndarray) -> None:
     """Write a binary PPM: the header, then the image's own C-order buffer
     (copied only when the image is not C-contiguous)."""
@@ -80,9 +113,8 @@ def write_ppm(path: str | Path, rgb_u8: np.ndarray) -> None:
     if a.ndim != 3 or a.shape[2] != 3 or a.dtype != np.uint8:
         raise FormatError(f"PPM wants uint8 (H, W, 3), got {a.dtype} {a.shape}")
     h, w = a.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(a).data)
+    write_file(path, f"P6\n{w} {h}\n255\n".encode("ascii"),
+               np.ascontiguousarray(a).data)
 
 
 def pgm_encode(gray_u8: np.ndarray) -> bytes:
@@ -121,7 +153,7 @@ def posenet_weights_from_bytes(data: bytes) -> PoseNetWeights:
 
 
 def save_posenet_weights(path: str | Path, weights: PoseNetWeights) -> None:
-    Path(path).write_bytes(posenet_weights_bytes(weights))
+    write_file(path, posenet_weights_bytes(weights))
 
 
 def load_posenet_weights(path: str | Path) -> PoseNetWeights:

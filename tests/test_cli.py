@@ -789,3 +789,56 @@ def test_longvideo_golden_hashes(tmp_path):
                 got[f"{denoiser}/{mode}/{name}"] = \
                     hashlib.sha256(blob).hexdigest()
     assert got == GOLDEN_SHA256
+
+
+# ---- re-runs over existing outputs ----------------------------------------
+
+def junk_at_every_artefact(clean, dirty):
+    """Put a junk file in dirty at the path of every file under clean,
+    alternately half as long and twice as long as it; returns the
+    relative paths and the junk files' inodes."""
+    files = sorted(p.relative_to(clean) for p in clean.rglob("*")
+                   if p.is_file())
+    for i, rel in enumerate(files):
+        size = (clean / rel).stat().st_size
+        (dirty / rel).parent.mkdir(parents=True, exist_ok=True)
+        (dirty / rel).write_bytes(b"\xa5" * (2 * size + 1 if i % 2
+                                            else size // 2))
+    return files, [(dirty / rel).stat().st_ino for rel in files]
+
+
+def assert_same_run_over_junk(run, clean, dirty):
+    """run(root) into a fresh clean and into a dirty pre-filled with junk
+    writes the same bytes, and in place over the junk files."""
+    assert run(clean) == 0
+    files, inodes = junk_at_every_artefact(clean, dirty)
+    assert len(files) > 1
+    assert run(dirty) == 0
+    assert sorted(p.relative_to(dirty) for p in dirty.rglob("*")
+                  if p.is_file()) == files
+    for rel in files:
+        assert (dirty / rel).read_bytes() == (clean / rel).read_bytes(), rel
+    assert [(dirty / rel).stat().st_ino for rel in files] == inodes
+
+
+def test_render_pose_over_junk_matches_a_fresh_run(tmp_path, five_frames):
+    poses, _ = five_frames
+    assert_same_run_over_junk(lambda root: main(render_args(poses, root)),
+                              tmp_path / "a", tmp_path / "b")
+
+
+def test_weight_map_over_junk_matches_a_fresh_run(tmp_path, pose_file):
+    def run(root):
+        return main(["weight-map", "--poses", str(pose_file), "--frame", "1",
+                     "--out", str(root / "wm.mmtl")])
+
+    assert_same_run_over_junk(run, tmp_path / "a", tmp_path / "b")
+
+
+def test_longvideo_over_junk_matches_a_fresh_run(tmp_path):
+    def run(root):
+        cfg = write_config(tmp_path, out_dir=str(root))
+        return max(main(["longvideo", "--config", str(cfg), "--mode", mode])
+                   for mode in FUSION_MODES)
+
+    assert_same_run_over_junk(run, tmp_path / "a", tmp_path / "b")

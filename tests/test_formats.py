@@ -1,8 +1,12 @@
+import ast
+import errno
 import itertools
 import operator
+import os
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from posefuse import io_formats
 from posefuse.io_formats import (FormatError, load_posenet_weights,
                                  mmtl_decode_at, mmtl_encode, pgm_encode,
                                  posenet_weights_bytes,
                                  posenet_weights_from_bytes,
-                                 save_posenet_weights, write_ppm)
+                                 save_posenet_weights, write_file, write_ppm)
 from posefuse.posenet import LAYER_SPECS, init_posenet_weights
 
 from conftest import read_mmtl
@@ -220,6 +225,134 @@ def test_encoders_match_tobytes_on_non_contiguous_input(tmp_path):
         expect = (MMTL_HEADER_3D + struct.pack("<3I", *a.shape)
                   + f32.tobytes())
         assert mmtl_encode(a) == expect
+
+
+# ---- the writer ---------------------------------------------------------
+
+def test_write_file_overwrites_in_place_and_cuts_to_length(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"\xa5" * 100)
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    write_file(path, b"head", memoryview(b"tail"), b"")
+    assert path.read_bytes() == b"headtail"
+    write_file(path, b"longer than before")
+    assert path.read_bytes() == b"longer than before"
+    assert path.stat().st_ino == inode
+    assert path.stat().st_mode & 0o777 == 0o640
+    write_file(tmp_path / "new.bin", np.arange(3, dtype="<f4").data)
+    assert (tmp_path / "new.bin").read_bytes() == np.arange(
+        3, dtype="<f4").tobytes()
+
+
+def test_write_file_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"old contents")
+    link = tmp_path / "link.bin"
+    link.symlink_to(target)
+    write_file(link, b"new")
+    assert link.is_symlink() and target.read_bytes() == b"new"
+
+
+def test_writers_never_open_with_o_trunc(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    for _ in range(2):  # a fresh path, then an existing one
+        write_file(tmp_path / "a.bin", b"x")
+        write_ppm(tmp_path / "a.ppm", np.zeros((2, 3, 3), np.uint8))
+        save_posenet_weights(tmp_path / "a.weights", _WEIGHTS)
+    assert len(flags) == 6
+    assert all(f & os.O_WRONLY and not f & os.O_TRUNC for f in flags)
+
+
+def test_write_file_keeps_only_the_bytes_written_before_a_failure(
+        tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"\xa5" * 100)
+    with pytest.raises(TypeError):  # the second part is not bytes-like
+        write_file(path, b"head", object(), b"tail")
+    assert path.read_bytes() == b"head"
+
+    # writes of at most 3 bytes, until 6 or more are on disk: abc, d, efg
+    real_write = os.write
+
+    def short_then_full(fd, data):
+        if os.lseek(fd, 0, os.SEEK_CUR) >= 6:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data[:3])
+
+    path.write_bytes(b"\xa5" * 100)
+    monkeypatch.setattr(os, "write", short_then_full)
+    with pytest.raises(OSError, match="No space"):
+        write_file(path, b"abcd", b"efghij")
+    monkeypatch.undo()
+    assert path.read_bytes() == b"abcdefg"
+
+
+def test_write_file_to_dev_null():
+    # /dev/null cannot be truncated; it is never longer than what was written
+    write_file(os.devnull, b"x" * 10, b"y")
+
+
+def file_writes(node, scope=()):
+    """The definitions, as dotted names, holding each call under node
+    that writes a file: write_bytes, write_text, tofile, os.open, or an
+    open whose mode is not a constant free of w, a, x and +."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            found += file_writes(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call) and writes_a_file(child):
+            found.append(".".join(scope))
+        found += file_writes(child, scope)
+    return found
+
+
+def writes_a_file(call):
+    func = call.func
+    name = getattr(func, "attr", None) or getattr(func, "id", None)
+    if name in ("write_bytes", "write_text", "tofile"):
+        return True
+    if name != "open":
+        return False
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if owner == "os":
+        return True
+    # open(path, mode) and io.open(path, mode) take the path first,
+    # Path.open(mode) does not
+    args = call.args[1:] if owner in (None, "io") else call.args
+    modes = args + [k.value for k in call.keywords]
+    return not all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                   and not set(m.value) & set("wax+") for m in modes)
+
+
+def test_file_writes_finds_every_kind_of_write():
+    src = """
+def reads(p):
+    open(p); open(p, "rb"); p.open(); Path(p).read_bytes(); io.open(p, "r")
+def writes(p, mode):
+    open(p, "wb"); open(p, mode); p.open("a"); open(p, mode="r+")
+    p.write_bytes(b""); p.write_text(""); os.open(p, 1); a.tofile(p)
+    io.open(p, "x")
+"""
+    assert file_writes(ast.parse(src)) == ["writes"] * 9
+
+
+def test_the_package_writes_files_only_in_write_file():
+    # a second writer could bring back truncate-then-rewrite
+    found = []
+    for path in sorted(Path(io_formats.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}.{name}" for name in file_writes(tree)]
+    assert found == ["io_formats.write_file"]
 
 
 # ---- model weight files --------------------------------------------------

@@ -856,6 +856,32 @@ def test_profile_linear_ramp():
                                np.full(9, 0.1), rtol=1e-12)
 
 
+def test_profile_matches_the_whole_diff_bit_for_bit():
+    # blocks of transitions in one buffer give each row's mean unchanged
+    rng = np.random.default_rng(4)
+    for shape in ((72, 4, 64, 64), (1200, 4, 8, 8), (5, 3, 7, 11),
+                  (2, 1, 1, 1), (3, 40000)):
+        for dtype in (np.float64, np.float32):
+            video = rng.normal(size=shape).astype(dtype)
+            diffs = np.diff(video, axis=0)
+            np.abs(diffs, out=diffs)
+            expect = diffs.reshape(diffs.shape[0], -1).mean(axis=1)
+            got = frame_difference_profile(video)
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
+
+
+def test_profile_allocates_no_whole_diff():
+    video = np.random.default_rng(5).normal(size=(72, 4, 64, 64))
+    tracemalloc.start()
+    try:
+        frame_difference_profile(video)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < video.nbytes // 20
+
+
 def test_profile_needs_two_frames():
     with pytest.raises(ValueError):
         frame_difference_profile(np.zeros((1, 1, 2, 2)))
