@@ -3,15 +3,17 @@
 
 Every top-level definition in src/posefuse/ (function, class or assigned
 name) is weighed by its non-blank lines, decorators and docstrings
-included. Reachability follows names, not types: a bare name resolves to
-the definition it names in its module or to what the module imported
-under it, and ``obj.attr`` reaches every definition called ``attr``. The
-ledger reports the lines reached from ``cli.main``, then those the
-scripts in scripts/ add, then those the benchmark in perfbench/ adds,
-and lists what is left, which only tests reach or nothing does. Typical
-output:
+included, and those whose name has no leading underscore are counted as
+the package's public names. Reachability follows names, not types: a
+bare name resolves to the definition it names in its module or to what
+the module imported under it, and ``obj.attr`` reaches every definition
+called ``attr``. The ledger reports the lines reached from
+``cli.main``, then those the scripts in scripts/ add, then those the
+benchmark in perfbench/ adds, and lists what is left, which only tests
+reach or nothing does. Typical output:
 
     src/posefuse: 137 top-level definitions, 1631 non-blank lines
+    public names                  87
     reached from cli.main       1214
     added by scripts/             76
     added by perfbench/          280
@@ -146,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"src/{PACKAGE}: {len(ledger.lines)} top-level definitions, "
           f"{total} non-blank lines")
+    public = sum(1 for _module, name in ledger.lines
+                 if not name.startswith("_"))
+    print(f"{'public names':<24}{public:>8}")
     for label, keys in (("reached from cli.main", cli),
                         ("added by scripts/", scripts),
                         ("added by perfbench/", bench),

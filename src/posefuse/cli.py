@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .diffusion import (_both, linear_beta_schedule, make_phase_instance,
-                        make_toy_denoiser)
+from .diffusion import (_both, gaussian_denoiser, linear_beta_schedule,
+                        make_phase_instance)
 from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
                      frame_difference_profile, plan_segments,
                      run_long_denoise)
@@ -104,9 +104,8 @@ def _build_denoiser(cfg: RunConfig, plan, latent_shape):
         return make_phase_instance(plan, latent_shape, cfg.seed, eta=cfg.eta,
                                    phase_jitter=cfg.phase_jitter,
                                    period_range=(cfg.period_min, cfg.period_max))
-    sched = linear_beta_schedule(cfg.steps)
-    return make_toy_denoiser("analytic_gaussian", mu=cfg.mu, sigma0=cfg.sigma0,
-                             sched=sched)
+    return gaussian_denoiser(linear_beta_schedule(cfg.steps), cfg.mu,
+                             cfg.sigma0)
 
 
 def _cmd_longvideo(args: argparse.Namespace) -> int:

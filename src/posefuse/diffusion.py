@@ -6,7 +6,11 @@ so amplified regions change the gradient balance but not the loss scale.
 Toy denoisers satisfy the same call contract as the real video model,
 (latents, condition, step) -> None with the latents updated in place,
 and stand in for it everywhere; the long-video loop hands them its
-whole (S, N, C, H, W) segment stack in one call per step.
+whole (S, N, C, H, W) segment stack in one call per step. Each has its
+own constructor: ``pull_denoiser`` pulls the latents toward a target it
+is given, ``gaussian_denoiser`` is the posterior mean for Gaussian data,
+and ``make_phase_instance`` builds the phase-drifting target of the
+long-video workload and pulls toward it.
 
 The pull denoiser's chunks and the phase instance's target build run
 in two halves on two cores through ``_halves``; ``_both`` describes the
@@ -30,11 +34,6 @@ from .seeding import stream_rng
 if TYPE_CHECKING:
     from .fusion import SegmentPlan
 
-DEFAULT_BETA_1 = 1e-4
-DEFAULT_BETA_T = 0.02
-DEFAULT_T = 1000
-
-
 class TrainingDiverged(RuntimeError):
     def __init__(self, trace: list[float]):
         super().__init__(f"toy training diverged, last loss {trace[-1]:.4g}")
@@ -52,9 +51,9 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.beta.ndim != 1 or len(self.beta) < 1:
             raise ValueError("beta must be a nonempty 1-D array")
-        if np.any(self.beta <= 0) or np.any(self.beta >= 1):
+        if not np.all((self.beta > 0) & (self.beta < 1)):
             raise ValueError("every beta_t must lie in (0, 1)")
-        if np.any(np.diff(self.alpha_bar) >= 0):
+        if not np.all(np.diff(self.alpha_bar) < 0):
             raise ValueError("alpha_bar must be strictly decreasing")
         for a in (self.beta, self.alpha, self.alpha_bar):
             a.setflags(write=False)
@@ -75,8 +74,8 @@ class NoiseSchedule:
         return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
 
 
-def linear_beta_schedule(T: int = DEFAULT_T, beta_1: float = DEFAULT_BETA_1,
-                         beta_T: float = DEFAULT_BETA_T) -> NoiseSchedule:
+def linear_beta_schedule(T: int = 1000, beta_1: float = 1e-4,
+                         beta_T: float = 0.02) -> NoiseSchedule:
     if T < 1:
         raise ValueError("T must be >= 1")
     if not 0 < beta_1 <= beta_T < 1:
@@ -101,8 +100,10 @@ class SigmaDist:
     p_std: float = 1.4
 
     def __post_init__(self):
-        if self.p_std <= 0:
-            raise ValueError("p_std must be > 0")
+        if not math.isfinite(self.p_mean):
+            raise ValueError("p_mean must be finite")
+        if not 0 < self.p_std < math.inf:
+            raise ValueError("p_std must be finite and > 0")
 
 
 def karras_sigma_sample(dist: SigmaDist, rng: np.random.Generator,
@@ -129,8 +130,8 @@ def weighted_eps_loss(eps_hat: np.ndarray, eps: np.ndarray,
         raise ValueError(f"shape mismatch {eps_hat.shape} vs {eps.shape}")
     wb = _broadcast_weights(w, eps.shape)
     total = float(np.sum(wb))
-    if total <= 0:
-        raise ValueError("weights must have positive total")
+    if not 0 < total < math.inf:
+        raise ValueError("weights must have a positive finite total")
     d = eps_hat - eps
     return float(np.sum(wb * d * d) / total)
 
@@ -302,7 +303,7 @@ def _halves(fn: Callable[[int, int], None], n: int) -> None:
 _CHUNK = 1 << 15
 
 
-def _pull_denoiser(target: np.ndarray, eta: float) -> Denoiser:
+def pull_denoiser(target: np.ndarray, eta: float) -> Denoiser:
     """Denoiser moving C-contiguous z a fraction eta toward target.
 
     The target has the latents' shape and does not depend on the step.
@@ -339,41 +340,24 @@ def _pull_denoiser(target: np.ndarray, eta: float) -> Denoiser:
     return pull
 
 
-def make_toy_denoiser(kind: str, *, target: np.ndarray | None = None,
-                      eta: float | None = None, mu: float = 0.0,
-                      sigma0: float = 1.0,
-                      sched: NoiseSchedule | None = None) -> Denoiser:
-    """Build a stand-in denoiser satisfying the model call contract.
+def gaussian_denoiser(sched: NoiseSchedule, mu: float = 0.0,
+                      sigma0: float = 1.0) -> Denoiser:
+    """Exact posterior-mean denoiser for i.i.d. Normal(mu, sigma0^2) data
+    under the given schedule, updating the latents in place."""
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
+    if not 0 < sigma0 < math.inf:
+        raise ValueError("sigma0 must be finite and > 0")
+    var0 = sigma0 * sigma0
 
-    ``smoother`` pulls latents a fraction eta toward a supplied target
-    of the latents' own shape each step (for the long-video loop, a
-    trajectory gathered into the segment stack's layout).
-    ``analytic_gaussian`` is the exact posterior-mean denoiser for
-    i.i.d. Normal(mu, sigma0^2) data under the given schedule. Both
-    update the latents in place.
-    """
-    if kind == "smoother":
-        if target is None or eta is None:
-            raise ValueError("smoother needs target and eta")
-        return _pull_denoiser(target, eta)
+    def posterior_mean(z: np.ndarray, cond: Condition, t: int) -> None:
+        ab = sched.alpha_bar_at(t)
+        # (var0 * sqrt(ab) * z + (1 - ab) * mu) / (ab * var0 + (1 - ab))
+        z *= var0 * np.sqrt(ab)
+        z += (1.0 - ab) * mu
+        z /= ab * var0 + (1.0 - ab)
 
-    if kind == "analytic_gaussian":
-        if sched is None:
-            raise ValueError("analytic_gaussian needs a schedule")
-        if sigma0 <= 0:
-            raise ValueError("sigma0 must be > 0")
-        var0 = sigma0 * sigma0
-
-        def posterior_mean(z: np.ndarray, cond: Condition, t: int) -> None:
-            ab = sched.alpha_bar_at(t)
-            # (var0 * sqrt(ab) * z + (1 - ab) * mu) / (ab * var0 + (1 - ab))
-            z *= var0 * np.sqrt(ab)
-            z += (1.0 - ab) * mu
-            z /= ab * var0 + (1.0 - ab)
-
-        return posterior_mean
-
-    raise ValueError(f"unknown toy denoiser kind {kind!r}")
+    return posterior_mean
 
 
 def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
@@ -401,6 +385,8 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     if not (phase_jitter >= 0 and math.isfinite(2 * phase_jitter)):
         raise ValueError("phase_jitter must be >= 0 with 2 * phase_jitter "
                          "finite")
+    if not 0 < eta <= 1:  # pull_denoiser's check, before any draw
+        raise ValueError("eta must lie in (0, 1]")
     shape = tuple(latent_shape)
     _check_stack_size(plan.total_frames, plan.segment_length,
                       plan.context_overlap, shape)
@@ -421,4 +407,4 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
         np.sin(part, out=part)
 
     _halves(build, len(plan))
-    return _pull_denoiser(target, eta)
+    return pull_denoiser(target, eta)

@@ -21,7 +21,7 @@ import numpy as np
 from posefuse.diffusion import (AffineParams, SigmaDist, affine_batch_loss,
                                 forward_diffuse, karras_sigma_sample,
                                 linear_beta_schedule, loss_grad_linear,
-                                make_phase_instance, make_toy_denoiser,
+                                make_phase_instance, pull_denoiser,
                                 train_toy_denoiser)
 from posefuse.fusion import (boundary_jump_metric, frame_difference_profile,
                              fuse_segments, overlap_weights, plan_segments,
@@ -83,8 +83,7 @@ def test_c02_overlap_consistency_every_step():
         phases = rng.uniform(0, 2 * math.pi, size=shape)
         frames = np.arange(36).reshape(-1, 1, 1, 1)
         target = np.sin(2 * math.pi * frames / 24.0 + phases)
-        den = make_toy_denoiser("smoother", target=target[plan.frame_index],
-                                eta=0.4)
+        den = pull_denoiser(target[plan.frame_index], eta=0.4)
         worst = 0.0
         steps_seen = []
 

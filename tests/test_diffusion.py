@@ -7,8 +7,9 @@ from posefuse.diffusion import (AffineParams, Condition, NoiseSchedule,
                                 SigmaDist, TrainingDiverged,
                                 affine_batch_loss, forward_diffuse,
                                 karras_sigma_sample, linear_beta_schedule,
-                                loss_grad_linear, make_toy_denoiser,
-                                train_toy_denoiser, weighted_eps_loss)
+                                gaussian_denoiser, loss_grad_linear,
+                                pull_denoiser, train_toy_denoiser,
+                                weighted_eps_loss)
 from posefuse.fusion import plan_segments
 from posefuse.regions import LossWeightMap
 
@@ -66,6 +67,10 @@ def test_schedule_validation():
         NoiseSchedule.from_betas([0.5, 1.0])
     with pytest.raises(ValueError):
         NoiseSchedule.from_betas([])
+    # every comparison with nan is False, so nan must fail the checks
+    for betas in ([math.nan], [0.1, math.nan], [math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="beta_t"):
+            NoiseSchedule.from_betas(betas)
 
 
 def test_schedule_arrays_read_only():
@@ -161,6 +166,12 @@ def test_sigma_distribution_parameters():
 def test_sigma_dist_validation():
     with pytest.raises(ValueError):
         SigmaDist(p_std=0.0)
+    for p_std in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="p_std"):
+            SigmaDist(p_std=p_std)
+    for p_mean in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="p_mean"):
+            SigmaDist(p_mean=p_mean)
 
 
 # ---- weighted loss ---------------------------------------------------
@@ -210,6 +221,9 @@ def test_loss_validation():
         weighted_eps_loss(a, a, np.ones((3, 3)))
     with pytest.raises(ValueError):
         weighted_eps_loss(a, a, np.zeros((2, 2)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="total"):
+            weighted_eps_loss(a, a, np.array([[1.0, bad], [1.0, 1.0]]))
 
 
 # ---- gradients and training ------------------------------------------
@@ -352,7 +366,7 @@ def test_weighted_training_prioritizes_hand_region():
 
 def test_smoother_eta_one_returns_target():
     target = np.random.default_rng(0).normal(size=(6, 2, 3, 3))
-    den = make_toy_denoiser("smoother", target=target, eta=1.0)
+    den = pull_denoiser(target, eta=1.0)
     z = np.zeros((6, 2, 3, 3))
     assert den(z, Condition(), 5) is None
     np.testing.assert_array_equal(z, target)
@@ -362,7 +376,7 @@ def test_smoother_in_place_matches_expression_bitwise():
     # 3 * 5 * 71 * 67 elements: more than one chunk, and a partial last one
     rng = np.random.default_rng(4)
     target = rng.normal(size=(3, 5, 71, 67))
-    den = make_toy_denoiser("smoother", target=target, eta=0.35)
+    den = pull_denoiser(target, eta=0.35)
     z = rng.normal(size=(3, 5, 71, 67))
     expect = z + 0.35 * (target - z)
     den(z, Condition(), 1)
@@ -371,7 +385,7 @@ def test_smoother_in_place_matches_expression_bitwise():
 
 def test_smoother_midpoint():
     target = np.full((2, 1, 2, 2), 2.0)
-    den = make_toy_denoiser("smoother", target=target, eta=0.5)
+    den = pull_denoiser(target, eta=0.5)
     z = np.zeros((2, 1, 2, 2))
     den(z, Condition(), 1)
     np.testing.assert_array_equal(z, np.ones((2, 1, 2, 2)))
@@ -382,8 +396,7 @@ def test_smoother_uses_frame_offset():
     # with its own frames, from the segment's start offset on
     plan = plan_segments(8, 4, 2)
     target = np.arange(8, dtype=float).reshape(8, 1, 1, 1)
-    den = make_toy_denoiser("smoother", target=target[plan.frame_index],
-                            eta=1.0)
+    den = pull_denoiser(target[plan.frame_index], eta=1.0)
     z = np.zeros((3, 4, 1, 1, 1))
     den(z, Condition(), 1)
     np.testing.assert_array_equal(z.reshape(3, 4), [[0.0, 1.0, 2.0, 3.0],
@@ -392,25 +405,21 @@ def test_smoother_uses_frame_offset():
 
 
 def test_smoother_shape_mismatch():
-    den = make_toy_denoiser("smoother", target=np.zeros((4, 1, 2, 2)), eta=0.5)
+    den = pull_denoiser(np.zeros((4, 1, 2, 2)), eta=0.5)
     with pytest.raises(ValueError):
         den(np.zeros((3, 1, 2, 3)), Condition(), 1)
 
 
 def test_smoother_validation():
     with pytest.raises(ValueError):
-        make_toy_denoiser("smoother", target=np.zeros((2, 1, 2, 2)), eta=0.0)
-    with pytest.raises(ValueError):
-        make_toy_denoiser("smoother", eta=0.5)
-    with pytest.raises(ValueError):
-        make_toy_denoiser("unknown_kind")
+        pull_denoiser(np.zeros((2, 1, 2, 2)), eta=0.0)
 
 
 def test_analytic_gaussian_converges_to_mean():
     # near-zero noise level: posterior mean must recover mu
     sched = NoiseSchedule.from_betas([1e-14])
     mu = 1.25
-    den = make_toy_denoiser("analytic_gaussian", mu=mu, sigma0=2.0, sched=sched)
+    den = gaussian_denoiser(sched, mu=mu, sigma0=2.0)
     rng = np.random.default_rng(6)
     x0 = mu + 2.0 * rng.standard_normal((4, 1, 8, 8))
     x_t = forward_diffuse(x0, 1, sched, rng.standard_normal(x0.shape))
@@ -421,8 +430,7 @@ def test_analytic_gaussian_converges_to_mean():
 def test_analytic_gaussian_high_noise_returns_prior_mean():
     # alpha_bar ~ 0: the observation is useless, estimate collapses to mu
     sched = NoiseSchedule.from_betas([1.0 - 1e-12])
-    den = make_toy_denoiser("analytic_gaussian", mu=-0.75, sigma0=1.0,
-                            sched=sched)
+    den = gaussian_denoiser(sched, mu=-0.75, sigma0=1.0)
     z = np.random.default_rng(8).normal(size=(2, 1, 4, 4))
     den(z, Condition(), 1)
     np.testing.assert_allclose(z, -0.75, atol=1e-5)
@@ -431,8 +439,7 @@ def test_analytic_gaussian_high_noise_returns_prior_mean():
 def test_analytic_gaussian_in_place_matches_expression_bitwise():
     sched = linear_beta_schedule(50)
     mu, sigma0 = 0.3, 1.7
-    den = make_toy_denoiser("analytic_gaussian", mu=mu, sigma0=sigma0,
-                            sched=sched)
+    den = gaussian_denoiser(sched, mu=mu, sigma0=sigma0)
     var0 = sigma0 * sigma0
     z = np.random.default_rng(5).normal(size=(4, 2, 5, 5))
     for t in (50, 17, 1):
@@ -444,12 +451,22 @@ def test_analytic_gaussian_in_place_matches_expression_bitwise():
 
 
 def test_smoother_rejects_non_contiguous_latents():
-    den = make_toy_denoiser("smoother", target=np.zeros((4, 1, 2, 2)), eta=0.5)
+    den = pull_denoiser(np.zeros((4, 1, 2, 2)), eta=0.5)
     z = np.zeros((4, 1, 2, 4))[..., ::2]
     with pytest.raises(ValueError):
         den(z, Condition(), 1)
 
 
-def test_analytic_gaussian_needs_schedule():
-    with pytest.raises(ValueError):
-        make_toy_denoiser("analytic_gaussian", mu=0.0, sigma0=1.0)
+@pytest.mark.parametrize("mu,sigma0,message", [
+    (math.nan, 1.0, "mu must be finite"),
+    (math.inf, 1.0, "mu must be finite"),
+    (-math.inf, 1.0, "mu must be finite"),
+    (0.0, 0.0, "sigma0 must be finite and > 0"),
+    (0.0, -1.0, "sigma0 must be finite and > 0"),
+    (0.0, math.nan, "sigma0 must be finite and > 0"),
+    (0.0, math.inf, "sigma0 must be finite and > 0"),
+])
+def test_gaussian_denoiser_rejects_non_finite_prior(mu, sigma0, message):
+    # nan or inf here would turn every latent non-finite
+    with pytest.raises(ValueError, match=message):
+        gaussian_denoiser(linear_beta_schedule(10), mu=mu, sigma0=sigma0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from posefuse import cli, diffusion, fusion
 from posefuse.diffusion import (Condition, make_phase_instance,
-                                make_toy_denoiser)
+                                pull_denoiser)
 from posefuse.fusion import (FUSION_MODES, SegmentPlan, _boundary_transitions,
                              assemble, boundary_jump_metric, format_plan,
                              frame_difference_profile, fuse_segments,
@@ -983,6 +983,18 @@ def test_phase_instance_validation():
         den(np.zeros((16, 1, 3, 3)), Condition(), 1)
 
 
+def test_phase_instance_checks_eta_before_building(monkeypatch):
+    # a bad eta is refused before the draws and the whole-plan target
+    def no_build(fn, n):
+        raise AssertionError("target built before eta was checked")
+
+    monkeypatch.setattr(diffusion, "_halves", no_build)
+    plan = plan_segments(72, 16, 6)
+    for eta in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+            make_phase_instance(plan, (4, 64, 64), 0, eta=eta)
+
+
 def test_phase_instance_closed_form_per_segment():
     plan = plan_segments(36, 16, 6)
     shape = (2, 3, 3)
@@ -1019,8 +1031,7 @@ def test_smoother_toy_denoiser_in_loop():
     frames = np.arange(36).reshape(-1, 1, 1, 1)
     target = np.broadcast_to(np.sin(2 * np.pi * frames / 30.0),
                              (36,) + shape).copy()
-    den = make_toy_denoiser("smoother", target=target[plan.frame_index],
-                            eta=0.5)
+    den = pull_denoiser(target[plan.frame_index], eta=0.5)
     video = run_long_denoise(den, None, plan, 50, "progressive", seed=0,
                              latent_shape=shape)
     np.testing.assert_allclose(video, target, atol=1e-9)

@@ -1,6 +1,7 @@
 """Smoke tests: each script's main() runs on tiny arguments and prints its
 summary line."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -53,6 +54,18 @@ def test_reach_ledger_figures_sum_to_the_total(capsys):
         r"|tests only or nothing) +(\d+)$", out, re.M)]
     assert len(figures) == 4 and sum(figures) == total
     assert figures[0] > 0
+    public = int(re.search(r"^public names +(\d+)$", out, re.M).group(1))
+    names = []
+    for path in (SCRIPTS.parent / "src" / "posefuse").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, ast.Assign):
+                names += [t.id for t in node.targets
+                          if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names.append(node.target.id)
+    assert public == sum(1 for name in names if not name.startswith("_"))
 
 
 def test_train_hand_weighted(capsys):
