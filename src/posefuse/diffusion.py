@@ -108,9 +108,13 @@ class SigmaDist:
 
 def karras_sigma_sample(dist: SigmaDist, rng: np.random.Generator,
                         size: int | tuple[int, ...] | None = None):
-    """Draw noise levels sigma = exp(p_mean + p_std * g), g standard normal."""
+    """Draw noise levels sigma = exp(p_mean + p_std * g), g standard normal;
+    a draw past float range raises ValueError rather than returning inf."""
     g = rng.standard_normal(size)
-    sigma = np.exp(dist.p_mean + dist.p_std * g)
+    with np.errstate(over="ignore"):
+        sigma = np.exp(dist.p_mean + dist.p_std * g)
+    if not np.isfinite(sigma).all():
+        raise ValueError("a sigma draw overflowed float range")
     return float(sigma) if size is None else sigma
 
 
@@ -125,7 +129,9 @@ def _broadcast_weights(w, shape: tuple[int, ...]) -> np.ndarray:
 
 def weighted_eps_loss(eps_hat: np.ndarray, eps: np.ndarray,
                       w: LossWeightMap | np.ndarray) -> float:
-    """Weighted mean of squared errors: sum(w * d^2) / sum(w)."""
+    """Weighted mean of squared errors: sum(w * d^2) / sum(w); a loss past
+    float range is inf, without a warning, which training reads as
+    divergence."""
     if eps_hat.shape != eps.shape:
         raise ValueError(f"shape mismatch {eps_hat.shape} vs {eps.shape}")
     wb = _broadcast_weights(w, eps.shape)
@@ -133,7 +139,8 @@ def weighted_eps_loss(eps_hat: np.ndarray, eps: np.ndarray,
     if not 0 < total < math.inf:
         raise ValueError("weights must have a positive finite total")
     d = eps_hat - eps
-    return float(np.sum(wb * d * d) / total)
+    with np.errstate(over="ignore"):
+        return float(np.sum(wb * d * d) / total)
 
 
 @dataclass(frozen=True)

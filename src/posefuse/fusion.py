@@ -123,17 +123,6 @@ def overlap_weights(context_overlap: int, overlap_size: int) -> np.ndarray:
                       1.0)
 
 
-def _segment_stack(latents: Sequence[np.ndarray],
-                   plan: SegmentPlan) -> np.ndarray:
-    """Per-segment latents as one (S, N, C, H, W) float64 stack."""
-    stack = np.asarray(latents, dtype=np.float64)
-    want = (len(plan), plan.frames_per_segment)
-    if stack.ndim != 5 or stack.shape[:2] != want:
-        raise ValueError(f"segment latents must stack to {want} + (C, H, W), "
-                         f"got {stack.shape}")
-    return stack
-
-
 def _holders(plan: SegmentPlan) -> tuple[np.ndarray, np.ndarray]:
     """First and last segment holding each clip frame, as (L,) arrays.
 
@@ -254,35 +243,22 @@ def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
     come from the pre-fusion arrays, and every copy of a frame receives
     the same one.
     """
-    stack = _segment_stack(np.array(latents, dtype=np.float64), plan)
+    stack = np.array(latents, dtype=np.float64)
+    want = (len(plan), plan.frames_per_segment)
+    if stack.ndim != 5 or stack.shape[:2] != want:
+        raise ValueError(f"segment latents must stack to {want} + (C, H, W), "
+                         f"got {stack.shape}")
     _fuse_stack(stack, _fusion_blocks(plan, mode, math.prod(stack.shape[2:])))
     return list(stack)
-
-
-def assemble(latents: Sequence[np.ndarray], plan: SegmentPlan) -> np.ndarray:
-    """Gather segments into an (L, C, H, W) float64 video.
-
-    Each frame comes from the last segment holding it: segment i gives
-    frames [start_i, start_{i+1}), the final segment its whole range.
-    After fusion all copies agree, so the choice would not matter on
-    overlaps; without fusion this rule is the hard-concat baseline.
-    A list of segments is stacked whole before the frames are gathered.
-    """
-    stack = _segment_stack(latents, plan)
-    _, last = _holders(plan)
-    return stack[last, np.arange(plan.total_frames)
-                 - np.asarray(plan.starts)[last]]
-
-
-StepCallback = Callable[[int, np.ndarray], None]
 
 
 def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
                      plan: SegmentPlan, steps: int,
                      mode: str = "progressive", seed: int = 0, *,
                      latent_shape: tuple[int, int, int],
-                     on_step: StepCallback | None = None) -> np.ndarray:
-    """Denoise-then-fuse over all segments; returns the assembled video.
+                     on_step: Callable[[int, np.ndarray], None] | None = None,
+                     ) -> np.ndarray:
+    """Denoise-then-fuse over all segments; returns the (L, C, H, W) video.
 
     Segment i starts from Gaussian noise drawn on its own seed stream,
     each half of the segments on one side of ``_halves``. All segments
@@ -297,6 +273,10 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     ``on_step(t, stack)`` gets the stack after fusion; later steps
     overwrite it, so a callback copies whatever it keeps. Steps count
     down from `steps` to 1.
+    Each video frame comes from the last segment holding it: segment i
+    gives frames [start_i, start_{i+1}), the final segment its whole
+    range. After fusion all copies agree, so the choice would not matter
+    on overlaps; without fusion this rule is the hard-concat baseline.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -331,7 +311,9 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     # the denoiser (a phase instance holds a whole-plan target) and the
     # gathered condition are freed before the video is allocated
     del denoiser, cond
-    return assemble(stack, plan)
+    _, last = _holders(plan)
+    return stack[last, np.arange(plan.total_frames)
+                 - np.asarray(plan.starts)[last]]
 
 
 def frame_difference_profile(video: np.ndarray) -> np.ndarray:

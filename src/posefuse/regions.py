@@ -116,14 +116,14 @@ def downsample_weight_map(wm: LossWeightMap,
                           factor: int = LATENT_DOWNSAMPLE) -> LossWeightMap:
     """Reduce to latent resolution by max over factor x factor pixel blocks.
 
-    Partial edge blocks are padded with weight 1, the neutral value for
-    the max.
+    Partial edge blocks take the max of the pixels they hold, which is
+    what padding them with weight 1 would give, since every weight is
+    >= 1; nothing larger than the map is allocated, whatever the factor.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
     h, w = wm.data.shape
-    ho, wo = -(-h // factor), -(-w // factor)
-    padded = np.ones((ho * factor, wo * factor))
-    padded[:h, :w] = wm.data
-    data = padded.reshape(ho, factor, wo, factor).max(axis=(1, 3))
-    return LossWeightMap(wo, ho, data)
+    data = np.maximum.reduceat(np.asarray(wm.data, dtype=np.float64),
+                               np.arange(0, h, factor), axis=0)
+    data = np.maximum.reduceat(data, np.arange(0, w, factor), axis=1)
+    return LossWeightMap(data.shape[1], data.shape[0], data)

@@ -245,8 +245,7 @@ def _rasterize(frame: PoseFrame, style: RenderStyle, width: int, height: int,
 
     layout = frame.layout
     conf = frame.conf
-    a, b = np.array([(i, j) for i, j, _group in layout.edges],
-                    dtype=np.intp).reshape(-1, 2).T
+    a, b = np.array(layout.edges, dtype=np.intp).reshape(-1, 2).T
     # a limb takes the lower endpoint confidence
     limb_keep, limb_values = _drawn(np.minimum(conf[a], conf[b]),
                                     layout.edge_colors, style)

@@ -1,4 +1,4 @@
-"""Skeleton layout data: keypoint groups, limb edges, bone tree, colors.
+"""Skeleton layout data: hand ranges, limb edges, bone tree, colors.
 
 The default layout is the 133-keypoint whole-body convention used by
 common whole-body pose estimators: 17 body joints, 6 foot points,
@@ -10,12 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-BODY = "body"
-FEET = "feet"
-FACE = "face"
-LEFT_HAND = "left_hand"
-RIGHT_HAND = "right_hand"
 
 # Classic 18-color wheel used by OpenPose-style renderers, RGB 0-255.
 _BODY_WHEEL = [
@@ -42,7 +36,8 @@ class LayoutError(ValueError):
 class SkeletonLayout:
     """Fixed keypoint convention: indices, limb edges, colors, bone tree.
 
-    ``edges`` are (a, b, group) keypoint index pairs drawn as limbs.
+    ``edges`` are (a, b) keypoint index pairs drawn as limbs, and
+    ``hands`` maps "left" and "right" to each hand's keypoint indices.
     ``bone_tree`` gives the parent index of each keypoint: -1 at the
     root, index 0, and otherwise an index smaller than the child's, so
     walking keypoints in index order visits every parent before its
@@ -52,17 +47,17 @@ class SkeletonLayout:
 
     name: str
     keypoint_count: int
-    edges: tuple[tuple[int, int, str], ...]
-    groups: dict[str, tuple[int, ...]] = field(repr=False)
+    edges: tuple[tuple[int, int], ...]
+    hands: dict[str, tuple[int, ...]] = field(repr=False)
     keypoint_colors: np.ndarray = field(repr=False)  # (K, 3) floats in [0, 1]
     edge_colors: np.ndarray = field(repr=False)      # (E, 3) floats in [0, 1]
     bone_tree: tuple[int, ...] = ()
 
     def hand_indices(self, side: str) -> tuple[int, ...]:
-        group = {"left": LEFT_HAND, "right": RIGHT_HAND}.get(side)
-        if group is None:
-            raise LayoutError(f"unknown hand side {side!r}")
-        return self.groups[group]
+        try:
+            return self.hands[side]
+        except KeyError:
+            raise LayoutError(f"unknown hand side {side!r}") from None
 
 
 def _build_wholebody_133() -> SkeletonLayout:
@@ -70,8 +65,6 @@ def _build_wholebody_133() -> SkeletonLayout:
     body = tuple(range(0, 17))
     feet = tuple(range(17, 23))
     face = tuple(range(23, 91))
-    left_hand = tuple(range(91, 112))
-    right_hand = tuple(range(112, 133))
 
     body_edges = [
         (15, 13), (13, 11), (16, 14), (14, 12), (11, 12), (5, 11), (6, 12),
@@ -89,18 +82,11 @@ def _build_wholebody_133() -> SkeletonLayout:
                 out.append((base + j, base + j + 1))
         return out
 
-    edges: list[tuple[int, int, str]] = []
-    edge_colors: list[tuple[int, int, int]] = []
-    for i, (a, b) in enumerate(body_edges):
-        edges.append((a, b, BODY))
-        edge_colors.append(_BODY_WHEEL[i % 18])
-    for i, (a, b) in enumerate(feet_edges):
-        edges.append((a, b, FEET))
-        edge_colors.append(_BODY_WHEEL[(12 + i) % 18])
-    for root, group in ((91, LEFT_HAND), (112, RIGHT_HAND)):
-        for i, (a, b) in enumerate(hand_edges(root)):
-            edges.append((a, b, group))
-            edge_colors.append(_FINGER_COLORS[i // 4])
+    edges = body_edges + feet_edges + hand_edges(91) + hand_edges(112)
+    edge_colors = ([_BODY_WHEEL[i % 18] for i in range(len(body_edges))]
+                   + [_BODY_WHEEL[(12 + i) % 18]
+                      for i in range(len(feet_edges))]
+                   + [c for c in _FINGER_COLORS for _ in range(4)] * 2)
 
     kp_colors = [(0, 0, 0)] * k
     for i in body:
@@ -135,8 +121,8 @@ def _build_wholebody_133() -> SkeletonLayout:
         name="coco_wholebody_133",
         keypoint_count=k,
         edges=tuple(edges),
-        groups={BODY: body, FEET: feet, FACE: face,
-                LEFT_HAND: left_hand, RIGHT_HAND: right_hand},
+        hands={"left": tuple(range(91, 112)),
+               "right": tuple(range(112, 133))},
         keypoint_colors=np.array(kp_colors, dtype=np.float64) / 255.0,
         edge_colors=np.array(edge_colors, dtype=np.float64) / 255.0,
         bone_tree=tuple(parent),

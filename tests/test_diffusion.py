@@ -163,6 +163,18 @@ def test_sigma_distribution_parameters():
     assert abs(logs.std() - 1.4) < 0.01
 
 
+def test_sigma_sample_refuses_overflow():
+    # exp(800 + 1.4 g) leaves float range for every draw; at p_mean 0.5 a
+    # finite draw keeps the bits of the plain expression
+    for size in (None, 3):
+        with pytest.raises(ValueError, match="overflowed"):
+            karras_sigma_sample(SigmaDist(p_mean=800.0),
+                                np.random.default_rng(0), size)
+    g = np.random.default_rng(4).standard_normal(50)
+    draws = karras_sigma_sample(SigmaDist(), np.random.default_rng(4), 50)
+    assert draws.tobytes() == np.exp(0.5 + 1.4 * g).tobytes()
+
+
 def test_sigma_dist_validation():
     with pytest.raises(ValueError):
         SigmaDist(p_std=0.0)

@@ -18,7 +18,7 @@ from posefuse import cli, diffusion, fusion
 from posefuse.diffusion import (Condition, make_phase_instance,
                                 pull_denoiser)
 from posefuse.fusion import (FUSION_MODES, SegmentPlan, _boundary_transitions,
-                             assemble, boundary_jump_metric, format_plan,
+                             boundary_jump_metric, format_plan,
                              frame_difference_profile, fuse_segments,
                              overlap_weights, plan_segments, run_long_denoise)
 from posefuse.seeding import stream_rng
@@ -134,19 +134,29 @@ def test_plan_geometry_matches_loop_reference(geometry):
     assert _boundary_transitions(plan) == loop_boundary_transitions(plan)
 
 
+def gather(plan, values, mode="none"):
+    """run_long_denoise for one step whose denoiser writes ``values`` into
+    the segment stack; returns the video and the stack after fusion."""
+    def write(z, cond, t):
+        z[...] = values
+
+    seen = []
+    video = run_long_denoise(write, None, plan, 1, mode,
+                             latent_shape=values.shape[2:],
+                             on_step=lambda t, z: seen.append(z.copy()))
+    return video, seen[0]
+
+
 @settings(max_examples=150, deadline=None)
-@given(plan_geometry, st.sampled_from([np.float64, np.float32]),
-       st.booleans())
-@example((37, 16, 6), np.float32, True).via("three holders")
-def test_assemble_matches_loop_reference(geometry, dtype, as_list):
+@given(plan_geometry)
+@example((37, 16, 6)).via("three holders")
+def test_assemble_matches_loop_reference(geometry):
     plan = plan_segments(*geometry)
     rng = np.random.default_rng(geometry[0])
     stack = rng.normal(size=(len(plan), plan.frames_per_segment, 1, 1, 2))
-    stack = stack.astype(dtype)
-    latents = list(stack) if as_list else stack
-    video = assemble(latents, plan)
+    video, _ = gather(plan, stack)
     assert video.dtype == np.float64
-    assert video.tobytes() == loop_assemble(latents, plan).tobytes()
+    assert video.tobytes() == loop_assemble(stack, plan).tobytes()
 
 
 def test_plan_text_roundtrip():
@@ -266,9 +276,6 @@ def test_fuse_segments_dispatch_and_validation():
     bad = [latents[0], latents[1][:, :, :2, :]]
     with pytest.raises(ValueError):
         fuse_segments(bad, plan, "progressive")
-    for ragged in (bad, latents[:1]):
-        with pytest.raises(ValueError):
-            assemble(ragged, plan)
     assert set(FUSION_MODES) == {"progressive", "uniform", "none"}
 
 
@@ -438,8 +445,8 @@ def test_fusion_blocks_weights_sum_to_divisor(geometry, frames_per_block):
 
 def test_assemble_contribution_ranges():
     plan = plan_segments(36, 16, 6)
-    latents = [np.full((16, 1, 1, 1), float(i)) for i in range(3)]
-    video = assemble(latents, plan)
+    latents = np.arange(3.0).reshape(3, 1, 1, 1, 1) + np.zeros((16, 1, 1, 1))
+    video, _ = gather(plan, latents)
     assert video.shape == (36, 1, 1, 1)
     v = video[:, 0, 0, 0]
     assert (v[0:10] == 0.0).all()    # seg1 frames 0..9
@@ -449,14 +456,13 @@ def test_assemble_contribution_ranges():
 
 def test_assemble_single_segment_identity():
     plan = plan_segments(16, 16, 6)
-    z = np.random.default_rng(2).normal(size=(16, 2, 2, 2))
-    np.testing.assert_array_equal(assemble([z], plan), z)
+    z = np.random.default_rng(2).normal(size=(1, 16, 2, 2, 2))
+    np.testing.assert_array_equal(gather(plan, z)[0], z[0])
 
 
 def test_assemble_after_fusion_choice_irrelevant():
     plan = plan_segments(36, 16, 6)
-    fused = fuse_segments(seg_noise(plan), plan, "progressive")
-    video = assemble(fused, plan)
+    video, fused = gather(plan, np.array(seg_noise(plan)), "progressive")
     # overlapped frames equal their copy in either segment
     for i, (s, e) in enumerate(plan.segments):
         np.testing.assert_array_equal(video[s:e], fused[i])
@@ -470,8 +476,8 @@ def test_run_long_denoise_t1_none_identity_denoiser():
     identity = lambda z, cond, t: None
     video = run_long_denoise(identity, None, plan, 1, "none", seed=9,
                              latent_shape=shape)
-    expect = assemble([stream_rng(9, i, 0).standard_normal((16,) + shape)
-                       for i in range(3)], plan)
+    expect = loop_assemble([stream_rng(9, i, 0).standard_normal((16,) + shape)
+                            for i in range(3)], plan)
     np.testing.assert_array_equal(video, expect)
 
 
@@ -701,20 +707,22 @@ def test_run_long_denoise_frees_the_denoiser_before_assembly(monkeypatch):
     plan = plan_segments(40, 16, 6)
     shape = (2, 32, 32)
     refs, alive = [], []
+    holders = fusion._holders
 
     def build():
         den = make_phase_instance(plan, shape, 3)
         refs.append(weakref.ref(den))
         return den
 
-    def spy(latents, plan):
+    def spy(plan):
         alive.append(refs[0]() is not None)
-        return assemble(latents, plan)
+        return holders(plan)
 
-    monkeypatch.setattr(fusion, "assemble", spy)
+    # the fusion blocks read the holders first, the video's gather last
+    monkeypatch.setattr(fusion, "_holders", spy)
     video = run_long_denoise(build(), None, plan, 3, "progressive", 3,
                              latent_shape=shape)
-    assert alive == [False]
+    assert alive == [True, False]
     assert video.shape == (40,) + shape
 
 

@@ -128,8 +128,8 @@ def _chain3() -> SkeletonLayout:
     return SkeletonLayout(
         name="chain3",
         keypoint_count=3,
-        edges=((0, 1, "all"), (1, 2, "all")),
-        groups={"all": (0, 1, 2)},
+        edges=((0, 1), (1, 2)),
+        hands={},
         keypoint_colors=np.ones((3, 3)),
         edge_colors=np.ones((2, 3)),
         bone_tree=(-1, 0, 1),

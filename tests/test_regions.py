@@ -196,6 +196,32 @@ def test_downsample_identity_factor():
     np.testing.assert_array_equal(same.data, wm.data)
 
 
+def test_downsample_huge_factor_takes_the_whole_map():
+    # a block past the map's edge holds only the map: nothing factor-sized
+    # is allocated
+    data = np.ones((4, 4))
+    data[2, 1] = 5.0
+    wm = LossWeightMap(4, 4, data)
+    for factor in (10 ** 6, 10 ** 12):
+        small = downsample_weight_map(wm, factor)
+        assert small.data.shape == (1, 1) and small.data[0, 0] == 5.0
+
+
+def test_downsample_matches_padded_blocks_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for h, w in ((9, 13), (17, 7), (1, 5)):
+        wm = LossWeightMap(w, h, 1.0 + rng.exponential(size=(h, w)))
+        for factor in range(1, 10):
+            ho, wo = -(-h // factor), -(-w // factor)
+            padded = np.ones((ho * factor, wo * factor))
+            padded[:h, :w] = wm.data
+            expect = padded.reshape(ho, factor, wo, factor).max(axis=(1, 3))
+            small = downsample_weight_map(wm, factor)
+            assert (small.width, small.height) == (wo, ho)
+            assert small.data.dtype == expect.dtype
+            assert small.data.tobytes() == expect.tobytes()
+
+
 def test_downsample_full_pipeline_values(person_frame):
     wm = build_weight_map(person_frame, 0.6, 0.25, 10.0, 576, 1024)
     small = downsample_weight_map(wm)

@@ -147,7 +147,7 @@ def test_limb_uses_min_endpoint_confidence():
     scaled = render_frame(frame, RenderStyle(), 96, 64)
     # scaled mode draws the limb at 0.2 x edge color
     assert scaled.data[ey, mid].any()
-    edge_index = [i for i, (a, b, _g) in enumerate(WHOLEBODY_133.edges)
+    edge_index = [i for i, (a, b) in enumerate(WHOLEBODY_133.edges)
                   if {a, b} == {7, 9}][0]
     np.testing.assert_allclose(scaled.data[ey, mid],
                                WHOLEBODY_133.edge_colors[edge_index] * 0.2)
@@ -260,7 +260,7 @@ def reference_render(frame, style, width, height):
     px, py, conf = frame.x * width, frame.y * height, frame.conf
     thresholded = style.confidence_mode == "threshold"
     strokes = [(min(conf[a], conf[b]), layout.edge_colors[e], (a, b))
-               for e, (a, b, _group) in enumerate(layout.edges)]
+               for e, (a, b) in enumerate(layout.edges)]
     strokes += [(conf[i], layout.keypoint_colors[i], (i,))
                 for i in range(layout.keypoint_count)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -300,7 +300,7 @@ def hostile_frames(draw):
     conf = draw(hnp.arrays(np.float64, 133, elements=st.one_of(
         st.just(0.0), st.sampled_from((0.3, 1.0)), st.floats(0.0, 1.0))))
     for e in draw(st.lists(st.integers(0, _EDGE_COUNT - 1), max_size=12)):
-        a, b, _group = WHOLEBODY_133.edges[e]
+        a, b = WHOLEBODY_133.edges[e]
         xy[b] = xy[a]  # coincident endpoints: a zero-length limb
         xy[b, draw(st.integers(0, 1))] += draw(st.sampled_from((0.0,) + _TINY))
     return norm_frame(np.column_stack([xy, conf]))
@@ -414,7 +414,7 @@ def test_render_matches_reference_on_person_sizes():
 def _matching_edges():
     """Edges of the layout that share no keypoint, first come first."""
     used, edges = set(), []
-    for a, b, _group in WHOLEBODY_133.edges:
+    for a, b in WHOLEBODY_133.edges:
         if not {a, b} & used:
             used |= {a, b}
             edges.append((a, b))
@@ -568,7 +568,7 @@ def test_zero_length_limb_is_a_disc_of_half_thickness():
     style = RenderStyle(keypoint_radius=1.0, limb_thickness=12.0)
     size = REFERENCE_HEIGHT
     gm = render_frame(frame, style, size, size)
-    edge = [i for i, (a, b, _g) in enumerate(WHOLEBODY_133.edges)
+    edge = [i for i, (a, b) in enumerate(WHOLEBODY_133.edges)
             if (a, b) == (7, 9)][0]
     np.testing.assert_array_equal(gm.data[size // 2, size // 2 + 4],
                                   WHOLEBODY_133.edge_colors[edge] * 0.5)

@@ -4,6 +4,7 @@ summary line."""
 import ast
 import importlib.util
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,18 @@ def test_train_hand_weighted(capsys):
     assert "uniform" in out and "hand x10" in out
     assert re.search(r"^hand-region MSE improvement from weighting: "
                      r"-?\d+\.\d{5}$", out, re.M)
+
+
+def test_train_hand_weighted_overflow_diverges_without_warning(capsys):
+    # a loss past float range is inf, which training reads as divergence
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exit_info:
+            load_script("train_hand_weighted").main(
+                ["--lr", "1e200", "--steps", "5"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "diverged" in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("name,args,message", [

@@ -1,40 +1,31 @@
+import bisect
+
 import pytest
 
-from posefuse.skeleton import (BODY, FACE, FEET, LEFT_HAND, RIGHT_HAND,
-                               WHOLEBODY_133, LayoutError, get_layout)
+from posefuse.skeleton import WHOLEBODY_133, LayoutError, get_layout
 
-
-def test_group_sizes():
-    g = WHOLEBODY_133.groups
-    assert len(g[BODY]) == 17
-    assert len(g[FEET]) == 6
-    assert len(g[FACE]) == 68
-    assert len(g[LEFT_HAND]) == 21
-    assert len(g[RIGHT_HAND]) == 21
-    assert WHOLEBODY_133.keypoint_count == 133
-
-
-def test_groups_partition_keypoints():
-    seen = sorted(i for idxs in WHOLEBODY_133.groups.values() for i in idxs)
-    assert seen == list(range(133))
+# body 0..16, feet 17..22, face 23..90, left hand 91..111, right 112..132
+REGION_STARTS = (0, 17, 23, 91, 112)
 
 
 def test_hand_indices():
+    assert WHOLEBODY_133.keypoint_count == 133
     assert WHOLEBODY_133.hand_indices("left") == tuple(range(91, 112))
     assert WHOLEBODY_133.hand_indices("right") == tuple(range(112, 133))
-    with pytest.raises(LayoutError):
-        WHOLEBODY_133.hand_indices("middle")
+    for side in ("middle", "left_hand"):
+        with pytest.raises(LayoutError):
+            WHOLEBODY_133.hand_indices(side)
 
 
 def test_edges_in_range_and_counted():
-    for a, b, group in WHOLEBODY_133.edges:
+    per_region = [0] * len(REGION_STARTS)
+    for a, b in WHOLEBODY_133.edges:
         assert 0 <= a < 133 and 0 <= b < 133
-        assert group in WHOLEBODY_133.groups
-    # 19 body limbs, 6 foot links, 20 per hand
-    per_group = {}
-    for _a, _b, group in WHOLEBODY_133.edges:
-        per_group[group] = per_group.get(group, 0) + 1
-    assert per_group == {BODY: 19, FEET: 6, LEFT_HAND: 20, RIGHT_HAND: 20}
+        # a foot link starts at an ankle; every other limb stays in one
+        # region
+        per_region[bisect.bisect_right(REGION_STARTS, max(a, b)) - 1] += 1
+    # 19 body limbs, 6 foot links, no face limb, 20 per hand
+    assert per_region == [19, 6, 0, 20, 20]
 
 
 def test_bone_tree_single_root_acyclic():
