@@ -8,8 +8,15 @@ from posefuse.skeleton import WHOLEBODY_133, LayoutError, get_layout
 REGION_STARTS = (0, 17, 23, 91, 112)
 
 
-def test_hand_indices():
+def test_group_sizes():
     assert WHOLEBODY_133.keypoint_count == 133
+    sizes = [b - a for a, b in zip(REGION_STARTS, REGION_STARTS[1:] + (133,))]
+    assert sizes == [17, 6, 68, 21, 21]
+    assert {side: len(idxs) for side, idxs in WHOLEBODY_133.hands.items()} \
+        == {"left": 21, "right": 21}
+
+
+def test_hand_indices():
     assert WHOLEBODY_133.hand_indices("left") == tuple(range(91, 112))
     assert WHOLEBODY_133.hand_indices("right") == tuple(range(112, 133))
     for side in ("middle", "left_hand"):
