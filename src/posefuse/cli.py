@@ -4,7 +4,8 @@ Three subcommands cover the runnable experiments: ``render-pose`` draws
 a pose file straight into per-frame uint8 PPM guidance images
 (``render_frame_u8``), ``weight-map`` exports one frame's hand-region
 loss weights (MMTL plus a PGM preview) by painting the boxes of
-``hand_boxes`` straight into a float32 payload and a uint8 preview, and
+``hand_boxes`` into one row band of the float32 payload or the uint8
+preview at a time and writing each band before the next is painted, and
 ``longvideo`` runs the segmented denoise-and-fuse loop on a synthetic
 workload and reports seam metrics. All outputs are byte-deterministic
 for a given command line and seed.
@@ -17,13 +18,16 @@ Every output goes through ``io_formats.write_file``, so a re-run
 overwrites each artefact in place and cuts it to length instead of
 truncating it to zero first, which on ext4 (``auto_da_alloc``) and XFS
 starts writeback of the file at close. A failed write leaves the file
-cut at the bytes written before the failure.
+cut at the bytes written before the failure. ``weight-map`` and
+``longvideo`` hand the writer a header and then their payload's own
+buffers, so no joined copy of a file is made.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +38,16 @@ from .diffusion import (_both, gaussian_denoiser, linear_beta_schedule,
 from .fusion import (FUSION_MODES, boundary_jump_metric, format_plan,
                      frame_difference_profile, plan_segments,
                      run_long_denoise)
-from .io_formats import (FormatError, mmtl_encode, pgm_encode, write_file,
+from .io_formats import (FormatError, _mmtl_header, _mmtl_parts, write_file,
                          write_ppm)
 from .pose import PoseParseError, parse_pose_sequence
 from .regions import hand_boxes
 from .render import CONFIDENCE_MODES, RenderStyle, render_frame_u8
 from .skeleton import LayoutError
+
+# pixels in one row band of a weight-map export: 113 rows, about 260 KB
+# of float32, at width 576, where the whole canvas takes 2.36 MB
+_BAND_PX = 2 ** 16
 
 
 def _read_poses(path: str):
@@ -80,9 +88,7 @@ def _cmd_weight_map(args: argparse.Namespace) -> int:
     boxes = hand_boxes(seq.frames[args.frame], args.tau_hand, args.pad_frac,
                        args.w_hand, w, h)
     # build_weight_map's float64 map as its float32 cast and its preview,
-    # 255 where that map is > 1 and 25 elsewhere, painted box by box
-    payload = np.ones((h, w), np.float32)
-    gray = np.full((h, w), 25, np.uint8)
+    # 255 where that map is > 1 and 25 elsewhere, each painted band by band
     if args.w_hand > 1.0 and any(x0 < x1 and y0 < y1
                                  for x0, y0, x1, y1 in boxes):
         try:  # a weight past float32 leaves no directory
@@ -90,13 +96,30 @@ def _cmd_weight_map(args: argparse.Namespace) -> int:
                 weight = np.float32(args.w_hand)
         except FloatingPointError:
             raise FormatError("values overflow float32") from None
-        for x0, y0, x1, y1 in boxes:  # an empty box is a no-op
-            payload[y0:y1, x0:x1] = weight
-            gray[y0:y1, x0:x1] = 255
+    else:  # nothing to paint
+        boxes, weight = (), 1.0
+    header = _mmtl_header((h, w))
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_file(out, mmtl_encode(payload))
-    write_file(preview, pgm_encode(gray))
+    write_file(out, chain((header,), _box_bands("<f4", 1.0, weight, boxes,
+                                                w, h)))
+    write_file(preview, chain((f"P5\n{w} {h}\n255\n".encode("ascii"),),
+                              _box_bands(np.uint8, 25, 255, boxes, w, h)))
     return 0
+
+
+def _box_bands(dtype, fill, value, boxes, width: int, height: int):
+    """The (height, width) map of fill with value in every box, yielded
+    top to bottom as row bands of one reused buffer."""
+    rows = max(1, _BAND_PX // width)
+    band = np.empty((min(rows, height), width), dtype)
+    for top in range(0, height, rows):
+        part = band[:min(rows, height - top)]
+        part.fill(fill)
+        for x0, y0, x1, y1 in boxes:  # an empty box is a no-op
+            lo, hi = max(y0, top), min(y1, top + len(part))
+            if lo < hi:
+                part[lo - top:hi - top, x0:x1] = value
+        yield part
 
 
 def _build_denoiser(cfg: RunConfig, plan, latent_shape):
@@ -127,16 +150,16 @@ def _cmd_longvideo(args: argparse.Namespace) -> int:
         raise ValueError("the denoised latents are not finite")
     jump = boundary_jump_metric(profile, plan)
 
-    latents = mmtl_encode(video)  # latents past float32 leave no directory
+    latents = _mmtl_parts(video)  # latents past float32 leave no directory
     out = Path(cfg.out_dir) / args.mode
     out.mkdir(parents=True, exist_ok=True)
     write_file(out / "latents.mmtl", latents)
-    write_file(out / "plan.txt", f"{format_plan(plan)}\n".encode("ascii"))
-    write_file(out / "profile.txt", "".join(
-        f"{repr(float(d))}\n" for d in profile).encode("ascii"))
+    write_file(out / "plan.txt", (f"{format_plan(plan)}\n".encode("ascii"),))
+    write_file(out / "profile.txt", ("".join(
+        f"{repr(float(d))}\n" for d in profile).encode("ascii"),))
     write_file(out / "metrics.txt",
-               f"boundary_jump {repr(jump)}\n"
-               f"mean_d {repr(float(np.mean(profile)))}\n".encode("ascii"))
+               (f"boundary_jump {repr(jump)}\n"
+                f"mean_d {repr(float(np.mean(profile)))}\n".encode("ascii"),))
     return 0
 
 

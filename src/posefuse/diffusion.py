@@ -109,12 +109,15 @@ class SigmaDist:
 def karras_sigma_sample(dist: SigmaDist, rng: np.random.Generator,
                         size: int | tuple[int, ...] | None = None):
     """Draw noise levels sigma = exp(p_mean + p_std * g), g standard normal;
-    a draw past float range raises ValueError rather than returning inf."""
+    a draw past float range raises ValueError rather than returning inf,
+    and so does a draw that underflows to 0."""
     g = rng.standard_normal(size)
     with np.errstate(over="ignore"):
         sigma = np.exp(dist.p_mean + dist.p_std * g)
     if not np.isfinite(sigma).all():
         raise ValueError("a sigma draw overflowed float range")
+    if not sigma.all():
+        raise ValueError("a sigma draw underflowed to 0")
     return float(sigma) if size is None else sigma
 
 

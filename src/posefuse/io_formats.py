@@ -1,4 +1,4 @@
-"""Bit-exact file formats: MMTL tensors, PPM/PGM rasters, weight files.
+"""Bit-exact file formats: MMTL tensors, PPM rasters, weight files.
 
 MMTL is a minimal little-endian tensor container:
 
@@ -10,8 +10,11 @@ its bias, in LAYER_SPECS order, with nothing before, between or after.
 
 Writers always produce canonical bytes, so write -> read -> write is
 byte-identical, which the deterministic CLI outputs rely on. Every file
-the package writes goes through ``write_file``, which overwrites in
-place and cuts the file to length.
+the package writes goes through ``write_file``. It takes the parts of a
+file as one iterable and writes each before it asks for the next, so a
+caller can stream a file from one reused buffer; it overwrites in place
+and cuts the file to length. ``_mmtl_parts`` gives it a tensor's header
+and the float32 payload's own buffer, so no joined copy is made.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -34,19 +38,28 @@ class FormatError(ValueError):
     pass
 
 
-def mmtl_encode(arr: np.ndarray) -> bytes:
+def _mmtl_header(shape: tuple[int, ...]) -> bytes:
+    if len(shape) < 1 or len(shape) > 255:
+        raise FormatError(f"unsupported ndim {len(shape)}")
+    if any(d < 1 or d > 0xFFFFFFFF for d in shape):
+        raise FormatError(f"dims out of range: {shape}")
+    return (MMTL_MAGIC + bytes([MMTL_VERSION, MMTL_DTYPE_F32, len(shape)])
+            + struct.pack(f"<{len(shape)}I", *shape))
+
+
+def _mmtl_parts(arr: np.ndarray) -> tuple[bytes, memoryview]:
+    """The MMTL header and the float32 payload's own buffer, for
+    ``write_file`` to write without joining them."""
     try:
         with np.errstate(over="raise"):
             a = np.ascontiguousarray(arr, dtype="<f4")
     except FloatingPointError:
         raise FormatError("values overflow float32") from None
-    if a.ndim < 1 or a.ndim > 255:
-        raise FormatError(f"unsupported ndim {a.ndim}")
-    if any(d < 1 or d > 0xFFFFFFFF for d in a.shape):
-        raise FormatError(f"dims out of range: {a.shape}")
-    header = MMTL_MAGIC + bytes([MMTL_VERSION, MMTL_DTYPE_F32, a.ndim])
-    header += struct.pack(f"<{a.ndim}I", *a.shape)
-    return b"".join((header, a.data))
+    return _mmtl_header(a.shape), a.data
+
+
+def mmtl_encode(arr: np.ndarray) -> bytes:
+    return b"".join(_mmtl_parts(arr))
 
 
 def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -76,18 +89,21 @@ def mmtl_decode_at(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.copy(), end
 
 
-def write_file(path: str | Path, *parts) -> None:
-    """Write the bytes-like parts to path in order, overwriting in place.
+def write_file(path: str | Path, parts: Iterable) -> None:
+    """Write each bytes-like part of the iterable to path in turn,
+    overwriting in place.
 
-    The path is opened without O_TRUNC and the file is cut at the end of
-    what was written only afterwards, so an existing file keeps its
-    inode and mode and a symlink is written through. ext4 (with its
-    default auto_da_alloc, and XFS alike) starts writeback at close of a
-    file that was truncated to zero and rewritten; this writer never
-    does that. If a part fails to write, the file is still cut at the
-    bytes written before the failure, so no tail of the old file is
-    left. Only a file longer than what was written is cut, so a path
-    such as /dev/null, which cannot be truncated, works too.
+    Each part is written in full before the next is asked for, so a
+    generator may refill one buffer and yield it again. The path is
+    opened without O_TRUNC and the file is cut at the end of what was
+    written only afterwards, so an existing file keeps its inode and
+    mode and a symlink is written through. ext4 (with its default
+    auto_da_alloc, and XFS alike) starts writeback at close of a file
+    that was truncated to zero and rewritten; this writer never does
+    that. If a part fails to write, or the iterable raises, the file is
+    still cut at the bytes written before the failure, so no tail of the
+    old file is left. Only a file longer than what was written is cut,
+    so a path such as /dev/null, which cannot be truncated, works too.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     end = 0
@@ -113,17 +129,8 @@ def write_ppm(path: str | Path, rgb_u8: np.ndarray) -> None:
     if a.ndim != 3 or a.shape[2] != 3 or a.dtype != np.uint8:
         raise FormatError(f"PPM wants uint8 (H, W, 3), got {a.dtype} {a.shape}")
     h, w = a.shape[:2]
-    write_file(path, f"P6\n{w} {h}\n255\n".encode("ascii"),
-               np.ascontiguousarray(a).data)
-
-
-def pgm_encode(gray_u8: np.ndarray) -> bytes:
-    a = np.asarray(gray_u8)
-    if a.ndim != 2 or a.dtype != np.uint8:
-        raise FormatError(f"PGM wants uint8 (H, W), got {a.dtype} {a.shape}")
-    h, w = a.shape
-    return b"".join((f"P5\n{w} {h}\n255\n".encode("ascii"),
-                     np.ascontiguousarray(a).data))
+    write_file(path, (f"P6\n{w} {h}\n255\n".encode("ascii"),
+                      np.ascontiguousarray(a).data))
 
 
 def posenet_weights_bytes(weights: PoseNetWeights) -> bytes:
@@ -153,7 +160,7 @@ def posenet_weights_from_bytes(data: bytes) -> PoseNetWeights:
 
 
 def save_posenet_weights(path: str | Path, weights: PoseNetWeights) -> None:
-    write_file(path, posenet_weights_bytes(weights))
+    write_file(path, (posenet_weights_bytes(weights),))
 
 
 def load_posenet_weights(path: str | Path) -> PoseNetWeights:

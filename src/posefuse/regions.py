@@ -6,7 +6,8 @@ bounding box whose pixels carry an amplified loss weight; everything
 else stays at weight 1. Overlapping hand boxes form a union, never a
 product. ``hand_boxes`` applies this rule and returns the boxes, which
 ``build_weight_map`` paints into a float64 map and ``weight-map`` paints
-straight into its float32 export and uint8 preview.
+into its float32 export and uint8 preview one row band at a time, with
+no whole-canvas array.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ from posefuse import cli
 from posefuse.cli import main
 from posefuse.config import DENOISER_KINDS, RunConfig
 from posefuse.fusion import FUSION_MODES
-from posefuse.io_formats import mmtl_encode, pgm_encode
+from posefuse.io_formats import mmtl_encode
 from posefuse.pose import parse_pose_sequence
-from posefuse.regions import build_weight_map
+from posefuse.regions import build_weight_map, hand_boxes
 from posefuse.skeleton import WHOLEBODY_133
 
 from conftest import person_keypoints, pose_doc, read_mmtl, read_raster
@@ -518,6 +518,38 @@ HAND_PLACES = st.none() | st.tuples(st.floats(-0.3, 1.3), st.floats(-0.3, 1.3),
     "a float32 ones payload under a 255 preview")
 def test_weight_map_matches_the_float64_reference(width, height, left, right,
                                                   pad_frac, w_hand):
+    assert_weight_map_matches_reference(width, height, left, right, pad_frac,
+                                        w_hand)
+
+
+# canvases of several row bands, the last one short, each with a box
+# across a band edge and a box reaching into the last band; the second
+# canvas's collapsed hand lies wholly in that band
+BAND_CANVASES = [
+    (576, 1024, (0.3, 0.1, False), (0.7, 0.99, False)),
+    (576, 1024, (0.3, 0.2, False), (0.7, 1021 / 1024, True)),
+    (200, 700, (0.3, 0.45, False), (0.6, 0.98, False)),
+]
+
+
+@pytest.mark.parametrize("w_hand", [1.0, 1.0 + 2.0 ** -30, 10.0, 3.5e38])
+@pytest.mark.parametrize("width, height, left, right", BAND_CANVASES)
+def test_weight_map_matches_the_float64_reference_over_row_bands(
+        width, height, left, right, w_hand):
+    rows = cli._BAND_PX // width
+    last = height - height % rows
+    assert rows < last < height
+    seq = parse_pose_sequence(hands_doc(width, height, left, right))
+    boxes = hand_boxes(seq.frames[0], 0.6, 0.25, 10.0, width, height)
+    assert any(y0 < edge < y1 for _, y0, _, y1 in boxes
+               for edge in range(rows, height, rows))
+    assert any(y1 > last for _, _, _, y1 in boxes)
+    assert_weight_map_matches_reference(width, height, left, right, 0.25,
+                                        w_hand)
+
+
+def assert_weight_map_matches_reference(width, height, left, right, pad_frac,
+                                        w_hand):
     """The export and preview of build_weight_map's float64 map, or its
     error, byte for byte."""
     doc = hands_doc(width, height, left, right)
@@ -525,9 +557,9 @@ def test_weight_map_matches_the_float64_reference(width, height, left, right,
     try:
         data = build_weight_map(seq.frames[0], 0.6, pad_frac, w_hand,
                                 width, height).data
+        gray = np.where(data > 1.0, 255, 25).astype(np.uint8)
         want = (0, mmtl_encode(data),
-                pgm_encode(np.where(data > 1.0, 255, 25).astype(np.uint8)),
-                "")
+                f"P5\n{width} {height}\n255\n".encode() + gray.tobytes(), "")
     except ValueError as exc:  # FormatError is a ValueError
         want = (2, None, None, f"error: {exc}\n")
     with tempfile.TemporaryDirectory() as tmp:
@@ -548,9 +580,9 @@ def test_weight_map_matches_the_float64_reference(width, height, left, right,
     assert got == want
 
 
-def test_weight_map_peak_memory_under_12_bytes_per_pixel(tmp_path):
-    # a float32 payload (4 B/px), its encoded bytes (4) and the uint8
-    # preview (1); a float64 map and its float32 cast would add 12
+def test_weight_map_peak_memory_under_1_byte_per_pixel(tmp_path):
+    # one row band of float32 at a time; a whole float32 payload takes
+    # 4 B/px, and even a whole uint8 preview would take 1
     path = tmp_path / "one.json"
     path.write_bytes(pose_doc([person_keypoints()], width=576, height=1024))
     out = tmp_path / "wm.mmtl"
@@ -563,7 +595,7 @@ def test_weight_map_peak_memory_under_12_bytes_per_pixel(tmp_path):
         tracemalloc.stop()
     assert rc == 0
     assert set(np.unique(read_mmtl(out.read_bytes()))) == {1.0, 10.0}
-    assert peak < 12 * 576 * 1024
+    assert peak < 576 * 1024
 
 
 # ---- longvideo --------------------------------------------------------------

@@ -175,6 +175,18 @@ def test_sigma_sample_refuses_overflow():
     assert draws.tobytes() == np.exp(0.5 + 1.4 * g).tobytes()
 
 
+def test_sigma_sample_refuses_underflow_to_zero():
+    # exp(-800 + 1.4 g) is 0.0 in float64 for every draw; a subnormal
+    # draw is still > 0 and kept
+    for size in (None, 3):
+        with pytest.raises(ValueError, match="underflowed"):
+            karras_sigma_sample(SigmaDist(p_mean=-800.0),
+                                np.random.default_rng(0), size)
+    tiny = karras_sigma_sample(SigmaDist(p_mean=-740.0), _ZeroRng(), 2)
+    assert (tiny > 0).all()
+    assert tiny.tobytes() == np.exp([-740.0] * 2).tobytes()
+
+
 def test_sigma_dist_validation():
     with pytest.raises(ValueError):
         SigmaDist(p_std=0.0)

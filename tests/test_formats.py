@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from posefuse import io_formats
 from posefuse.io_formats import (FormatError, load_posenet_weights,
-                                 mmtl_decode_at, mmtl_encode, pgm_encode,
+                                 mmtl_decode_at, mmtl_encode,
                                  posenet_weights_bytes,
                                  posenet_weights_from_bytes,
                                  save_posenet_weights, write_file, write_ppm)
@@ -180,18 +180,10 @@ def test_ppm_header_bytes(tmp_path):
     assert len(blob) == 11 + 18
 
 
-def test_pgm_header_bytes():
-    img = np.arange(6, dtype=np.uint8).reshape(2, 3)
-    blob = pgm_encode(img)
-    assert blob == b"P5\n3 2\n255\n" + bytes(range(6))
-
-
 def test_raster_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     rgb = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
-    gray = rng.integers(0, 256, size=(4, 5), dtype=np.uint8)
     assert ppm_bytes(tmp_path, rgb) == b"P6\n5 4\n255\n" + rgb.tobytes()
-    assert pgm_encode(gray) == b"P5\n5 4\n255\n" + gray.tobytes()
 
 
 def test_encoder_validation(tmp_path):
@@ -201,8 +193,6 @@ def test_encoder_validation(tmp_path):
     with pytest.raises(FormatError):
         write_ppm(path, np.zeros((2, 3, 4), dtype=np.uint8))
     assert not path.exists()  # rejected before the file is opened
-    with pytest.raises(FormatError):
-        pgm_encode(np.zeros((2, 3, 1), dtype=np.uint8))
 
 
 def test_encoders_match_tobytes_on_non_contiguous_input(tmp_path):
@@ -214,10 +204,6 @@ def test_encoders_match_tobytes_on_non_contiguous_input(tmp_path):
         h, w = a.shape[:2]
         assert (ppm_bytes(tmp_path, a)
                 == f"P6\n{w} {h}\n255\n".encode() + a.tobytes())
-    for a in (rgb[:, :, 0].T, rgb[::-1, ::2, 1]):
-        assert not a.flags.c_contiguous
-        h, w = a.shape
-        assert pgm_encode(a) == f"P5\n{w} {h}\n255\n".encode() + a.tobytes()
     latent = rng.standard_normal((3, 4, 6))
     for a in (latent.transpose(2, 0, 1), latent[:, ::-1, ::2]):
         assert not a.flags.c_contiguous
@@ -234,13 +220,13 @@ def test_write_file_overwrites_in_place_and_cuts_to_length(tmp_path):
     path.write_bytes(b"\xa5" * 100)
     path.chmod(0o640)
     inode = path.stat().st_ino
-    write_file(path, b"head", memoryview(b"tail"), b"")
+    write_file(path, (b"head", memoryview(b"tail"), b""))
     assert path.read_bytes() == b"headtail"
-    write_file(path, b"longer than before")
+    write_file(path, (b"longer than before",))
     assert path.read_bytes() == b"longer than before"
     assert path.stat().st_ino == inode
     assert path.stat().st_mode & 0o777 == 0o640
-    write_file(tmp_path / "new.bin", np.arange(3, dtype="<f4").data)
+    write_file(tmp_path / "new.bin", (np.arange(3, dtype="<f4").data,))
     assert (tmp_path / "new.bin").read_bytes() == np.arange(
         3, dtype="<f4").tobytes()
 
@@ -250,7 +236,7 @@ def test_write_file_writes_through_a_symlink(tmp_path):
     target.write_bytes(b"old contents")
     link = tmp_path / "link.bin"
     link.symlink_to(target)
-    write_file(link, b"new")
+    write_file(link, (b"new",))
     assert link.is_symlink() and target.read_bytes() == b"new"
 
 
@@ -264,7 +250,7 @@ def test_writers_never_open_with_o_trunc(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "open", spy)
     for _ in range(2):  # a fresh path, then an existing one
-        write_file(tmp_path / "a.bin", b"x")
+        write_file(tmp_path / "a.bin", (b"x",))
         write_ppm(tmp_path / "a.ppm", np.zeros((2, 3, 3), np.uint8))
         save_posenet_weights(tmp_path / "a.weights", _WEIGHTS)
     assert len(flags) == 6
@@ -276,7 +262,7 @@ def test_write_file_keeps_only_the_bytes_written_before_a_failure(
     path = tmp_path / "out.bin"
     path.write_bytes(b"\xa5" * 100)
     with pytest.raises(TypeError):  # the second part is not bytes-like
-        write_file(path, b"head", object(), b"tail")
+        write_file(path, (b"head", object(), b"tail"))
     assert path.read_bytes() == b"head"
 
     # writes of at most 3 bytes, until 6 or more are on disk: abc, d, efg
@@ -290,14 +276,45 @@ def test_write_file_keeps_only_the_bytes_written_before_a_failure(
     path.write_bytes(b"\xa5" * 100)
     monkeypatch.setattr(os, "write", short_then_full)
     with pytest.raises(OSError, match="No space"):
-        write_file(path, b"abcd", b"efghij")
+        write_file(path, (b"abcd", b"efghij"))
     monkeypatch.undo()
     assert path.read_bytes() == b"abcdefg"
 
 
 def test_write_file_to_dev_null():
     # /dev/null cannot be truncated; it is never longer than what was written
-    write_file(os.devnull, b"x" * 10, b"y")
+    write_file(os.devnull, (b"x" * 10, b"y"))
+
+
+def test_write_file_writes_each_state_of_a_refilled_buffer(tmp_path):
+    # each part is written before the next is asked for, so a generator
+    # may hand out one buffer again and again
+    buf = np.empty(4, np.uint8)
+
+    def parts():
+        for k in range(3):
+            buf.fill(k)
+            yield buf
+
+    path = tmp_path / "out.bin"
+    write_file(path, parts())
+    assert path.read_bytes() == bytes([0] * 4 + [1] * 4 + [2] * 4)
+
+
+@pytest.mark.parametrize("old", [b"", b"\xa5" * 3, b"\xa5" * 100])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_write_file_keeps_the_parts_yielded_before_the_iterable_raises(
+        tmp_path, old, k):
+    def parts():
+        for i in range(k):
+            yield bytes([65 + i]) * (i + 1)
+        raise RuntimeError("no more parts")
+
+    path = tmp_path / "out.bin"
+    path.write_bytes(old)
+    with pytest.raises(RuntimeError, match="no more parts"):
+        write_file(path, parts())
+    assert path.read_bytes() == b"ABBCCC"[:k * (k + 1) // 2]
 
 
 def file_writes(node, scope=()):
