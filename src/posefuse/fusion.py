@@ -13,6 +13,16 @@ segment the remainder, so each transition inside the overlap moves by
 at most 1/(C+1) of the disagreement. Uniform fusion (plain averaging of
 all copies) and no fusion are kept alongside as ablation baselines.
 
+Fusion moves data more than it computes. A run of consecutive shared
+frames with the same holder segments lies in consecutive rows of every
+holder, so a run of at least ``_BLOCK_ELEMENTS`` elements (any overlap
+of 4x64x64 frames) is fused in place on those rows, with no copy.
+Shorter runs (overlaps of 4x8x8 frames) are gathered in blocks of up to
+``_BLOCK_ELEMENTS`` elements through scratch and scattered back, which
+on small frames is faster than arithmetic on many short strided views.
+Both kinds do the same operations in the same order, so the bits do not
+depend on which one fused a frame.
+
 The initial noise draws (split over segments) and the fusion walk
 (split over shared frames) each run in two halves on two cores through
 ``diffusion._halves`` (see ``diffusion._both``), while the denoiser is
@@ -136,12 +146,14 @@ def _holders(plan: SegmentPlan) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-# elements per block of shared frames, so that a block and its scratch
-# stay cache-sized on each of the two halves; a private constant, not an
-# option
+# elements per block of shared frames: a run of at least this many is
+# fused in place, shorter runs are gathered in blocks of up to this many,
+# so a block and its scratch stay cache-sized on each of the two halves;
+# a private constant, not an option
 _BLOCK_ELEMENTS = 1 << 15
 
-_Block = tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]
+_Block = tuple[int, np.ndarray | tuple[slice, ...], np.ndarray | None,
+               np.ndarray | None]
 
 
 def _fusion_blocks(plan: SegmentPlan, mode: str,
@@ -153,14 +165,20 @@ def _fusion_blocks(plan: SegmentPlan, mode: str,
     1 - w and w, and any earlier holder 0, over a divisor of 1.
     ``uniform`` weighs every holder 1 over their count. ``none`` shares
     no frame. Entry j is the j-th shared frame in a stable sort by
-    holder count. Blocks of at most ``_BLOCK_ELEMENTS // row`` entries
-    (at least one) are cut from entry 0, from entry F // 2, so none
-    straddles the two halves ``_halves`` splits the F entries into, and
-    at each change of holder count. The m frames of block (j0, rows,
-    weights, divisor) from entry j0 on have the same K holders: rows is
-    (K, m), their rows of the (S*N, ...) stack in segment order; weights
-    is (K, m, 1) and divisor (m, 1), each None where all are 1. Built
-    once per fused stack shape, so a step's walk runs no search.
+    holder count. A run is a stretch of entries whose frames advance by
+    one with the same holders, so each holder's copies of it are
+    consecutive rows of the (S*N, row) stack. Runs end at every change
+    of holders and at entry F // 2, so no block straddles the two halves
+    ``_halves`` splits the F entries into. A run of at least
+    ``_BLOCK_ELEMENTS`` elements is one in-place block; the entries
+    between those are cut into gathered blocks of at most
+    ``_BLOCK_ELEMENTS // row`` entries (at least one), from the start of
+    each stretch and at each change of holder count. The m frames of
+    block (j0, copies, weights, divisor) from entry j0 on have the same
+    K holders. copies is, in segment order, K slices of the stack's rows
+    for an in-place block and a (K, m) array of rows for a gathered one;
+    weights is (K, m, 1) and divisor (m, 1), each None where all are 1.
+    Built once per fused stack shape, so a step's walk runs no search.
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}, expected one of "
@@ -173,23 +191,35 @@ def _fusion_blocks(plan: SegmentPlan, mode: str,
     first, last, held = first[frames], last[frames], held[frames]
     pos = frames - starts[last]
     ramp = overlap_weights(plan.context_overlap, pos.max(initial=0) + 1)[pos]
-    block = max(1, _BLOCK_ELEMENTS // row)
-    cuts = sorted({0, len(frames) // 2, len(frames),
+    block, F = max(1, _BLOCK_ELEMENTS // row), len(frames)
+    # sorted(set()), not np.unique, which imports numpy.ma (see _median)
+    runs = sorted({0, F // 2, F, *(np.flatnonzero(
+        (np.diff(frames) != 1) | (np.diff(first) != 0)
+        | (np.diff(held) != 0)) + 1).tolist()})
+    long_runs = {a: b for a, b in zip(runs, runs[1:])
+                 if (b - a) * row >= _BLOCK_ELEMENTS}
+    cuts = sorted({0, F // 2, F, *long_runs, *long_runs.values(),
                    *(np.flatnonzero(np.diff(held)) + 1).tolist()})
-    blocks = []
+    spans = []
     for a, b in zip(cuts, cuts[1:]):
-        for j0 in range(a, b, block):
-            j = slice(j0, min(j0 + block, b))
-            holder = first[j] + np.arange(held[j0]).reshape(-1, 1)
-            weights = divisor = None
-            if mode == "progressive":
-                # choice 0: last, 1: last - 1, 2: earlier
-                weights = np.choose(np.minimum(last[j] - holder, 2),
-                                    (ramp[j], 1.0 - ramp[j], 0.0))[..., None]
-            else:
-                divisor = held[j].astype(np.float64).reshape(-1, 1)
-            blocks.append((j0, holder * n + frames[j] - starts[holder],
-                           weights, divisor))
+        spans += [(a, b)] if a in long_runs else [
+            (j0, min(j0 + block, b)) for j0 in range(a, b, block)]
+    blocks = []
+    for j0, j1 in spans:
+        j = slice(j0, j1)
+        holder = first[j] + np.arange(held[j0]).reshape(-1, 1)
+        copies = holder * n + frames[j] - starts[holder]
+        if j0 in long_runs:
+            copies = tuple(slice(r, r + j1 - j0)
+                           for r in copies[:, 0].tolist())
+        weights = divisor = None
+        if mode == "progressive":
+            # choice 0: last, 1: last - 1, 2: earlier
+            weights = np.choose(np.minimum(last[j] - holder, 2),
+                                (ramp[j], 1.0 - ramp[j], 0.0))[..., None]
+        else:
+            divisor = held[j].astype(np.float64).reshape(-1, 1)
+        blocks.append((j0, copies, weights, divisor))
     return tuple(blocks)
 
 
@@ -200,36 +230,59 @@ def _fuse_stack(stack: np.ndarray, blocks: tuple[_Block, ...]) -> None:
     segment order, over its divisor. The first holder starts the sum;
     multiplies by 1 and divides by 1 are skipped, which is exact.
     ``_halves`` splits the shared frames in two, and each half walks its
-    own ``blocks`` (from ``_fusion_blocks`` for this row size) through
-    its own (2, block, row) scratch buffer. A block's fused values are
-    computed from the pre-fusion rows before any of its rows is written,
-    and no frame is in two blocks, so every copy of a frame receives the
-    same value and the halves touch disjoint rows.
+    own ``blocks`` (from ``_fusion_blocks`` for this row size). An
+    in-place block, a run of at least ``_BLOCK_ELEMENTS`` elements, does
+    that arithmetic on the holders' own rows: the first holder's slice
+    takes the sum, which is then copied to the others. A gathered block
+    takes its copies into the half's own (2, block, row) scratch buffer
+    and scatters the sum back; only gathered blocks size the scratch.
+    Both kinds make the same operations in the same order, so the bits
+    do not depend on the kind. A block's fused values are computed from
+    the pre-fusion rows before any other row is written, and no frame
+    is in two blocks, so every copy of a frame receives the same value
+    and the halves touch disjoint rows.
     """
     rows = stack.reshape(-1, math.prod(stack.shape[2:]))
-    largest = max((r.shape[1] for _, r, _, _ in blocks), default=0)
+    largest = max((c.shape[1] for _, c, _, _ in blocks
+                   if not isinstance(c, tuple)), default=0)
     scratch = np.empty((2, 2, largest, rows.shape[1]))
 
     def walk(lo: int, hi: int) -> None:
         own = scratch[min(lo, 1)]  # the helper's half starts at entry 0
-        for j0, copy_rows, weights, divisor in blocks:
+        for j0, copies, weights, divisor in blocks:
             if not lo <= j0 < hi:
                 continue
-            value, term = own[:, :copy_rows.shape[1]]
-            for k, holder_rows in enumerate(copy_rows):
-                out = term if k else value
-                # the indices are in range by construction; "clip" writes
-                # straight into out, where the default "raise" buffers it
-                np.take(rows, holder_rows, axis=0, out=out, mode="clip")
+            in_place = isinstance(copies, tuple)
+            for k, holder_rows in enumerate(copies):
+                if in_place:
+                    out = rows[holder_rows]
+                else:
+                    out = own[min(k, 1), :len(holder_rows)]
+                    # the indices are in range by construction; "clip"
+                    # writes straight into out, where "raise" buffers it
+                    np.take(rows, holder_rows, axis=0, out=out, mode="clip")
                 if weights is not None:
                     out *= weights[k]
                 if k:
-                    value += term
+                    value += out
+                else:
+                    value = out
             if divisor is not None:
                 value /= divisor
-            rows[copy_rows] = value
+            if in_place:
+                for holder_rows in copies[1:]:
+                    rows[holder_rows] = value
+            else:
+                rows[copies] = value
 
-    _halves(walk, sum(r.shape[1] for _, r, _, _ in blocks))
+    _halves(walk, sum(_block_size(c) for _, c, _, _ in blocks))
+
+
+def _block_size(copies: np.ndarray | tuple[slice, ...]) -> int:
+    """Shared frames in a block, from its copies of either kind."""
+    if isinstance(copies, tuple):
+        return copies[0].stop - copies[0].start
+    return copies.shape[1]
 
 
 def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,
@@ -266,7 +319,10 @@ def run_long_denoise(denoiser: Denoiser, cond: Condition | None,
     every segment sits at the same noise level, so each step makes one
     denoiser call on the whole stack, which the denoiser updates in place
     (it must return None), and then fuses overlaps per mode in place
-    through the blocks of ``_fusion_blocks``, built once per call.
+    through the blocks of ``_fusion_blocks``, built once per call: a run
+    of at least ``_BLOCK_ELEMENTS`` elements on the holders' own rows,
+    shorter runs through block-sized scratch, so a step allocates no
+    scratch at all when every overlap run is that long.
     ``cond.pose_features``, when given, must hold ``plan.total_frames``
     frames; they are gathered once into the same (S, N, ...) layout by
     ``plan.frame_index``.

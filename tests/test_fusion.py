@@ -338,17 +338,24 @@ def loop_fuse(latents, plan, mode):
 
 def assert_fuse_matches_loop(latents, plan):
     """Every mode matches loop_fuse bit for bit, with the overlap table
-    walked in one block and in blocks of 1, 2 and 3 shared frames."""
+    walked at the default block size and in blocks of 1, 2 and 3 shared
+    frames; where frames are shared, both block kinds occur among these
+    sizes."""
     row = math.prod(latents[0].shape[1:])
+    kinds = set()
     for frames_per_block in (None, 1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             if frames_per_block is not None:
                 mp.setattr(fusion, "_BLOCK_ELEMENTS", frames_per_block * row)
             for mode in FUSION_MODES:
+                kinds.update(isinstance(copies, tuple) for _, copies, _, _
+                             in fusion._fusion_blocks(plan, mode, row))
                 expect = loop_fuse(latents, plan, mode)
                 for got, ref in zip(fuse_segments(latents, plan, mode),
                                     expect):
                     assert got.tobytes() == ref.tobytes()
+    first, last = fusion._holders(plan)
+    assert kinds == ({True, False} if (last > first).any() else set())
 
 
 # (L, N, C) with N in 2..12, any 0 < C < N and L in 1..5N
@@ -358,32 +365,45 @@ small_geometry = st.integers(2, 12).flatmap(
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_geometry, st.integers(0, 2 ** 32 - 1))
-@example((60, 16, 12), 5).via("C > N/2: holder counts alternate")
-def test_fuse_matches_loop_reference_bitwise(geometry, seed):
+@given(small_geometry, st.integers(0, 2 ** 32 - 1), st.just((1, 2, 2)))
+@example((60, 16, 12), 5, (1, 2, 2)).via("C > N/2: holder counts alternate")
+@example((40, 16, 6), 7, (2, 64, 64)).via("in-place runs at the default size")
+@example((37, 16, 6), 8, (2, 64, 64)).via("in place, three-holder tail")
+def test_fuse_matches_loop_reference_bitwise(geometry, seed, shape):
     plan = plan_segments(*geometry)
-    latents = seg_noise(plan, shape=(1, 2, 2), seed=seed)
+    latents = seg_noise(plan, shape=shape, seed=seed)
     assert_fuse_matches_loop(latents, plan)
 
 
-def block_frames(plan, rows):
-    """Clip frames of a block's (K, m) rows, read off its first holder."""
-    n = plan.frames_per_segment
+def block_rows(copies):
+    """A block's (K, m) rows of the stack, from copies of either kind."""
+    if isinstance(copies, tuple):
+        return np.array([np.arange(s.start, s.stop) for s in copies])
+    return copies
+
+
+def block_frames(plan, copies):
+    """Clip frames of a block, read off its first holder's rows."""
+    n, rows = plan.frames_per_segment, block_rows(copies)
     return np.asarray(plan.starts)[rows[0] // n] + rows[0] % n
 
 
 def test_fuse_blocks_split_three_holder_tail_frames():
     plan = plan_segments(37, 16, 6)  # pinned tail: frames 21..25 held thrice
     assert plan.starts == (0, 10, 20, 21)
-    for frames_per_block in (1, 2, 3, 64):
+    for frames_per_block in (1, 2, 3, 5, 64):
         row = fusion._BLOCK_ELEMENTS // frames_per_block
         for mode in ("progressive", "uniform"):
             blocks = fusion._fusion_blocks(plan, mode, row)
-            # the three-holder frames fill blocks of their own, last
-            triple = blocks[-math.ceil(5 / frames_per_block):]
-            assert np.concatenate([block_frames(plan, b[1]) for b in triple]
-                                  ).tolist() == [21, 22, 23, 24, 25]
-            assert all(len(rows) == 3 for _, rows, _, _ in triple)
+            # the three-holder frames fill one block of their own, last:
+            # in place where their five frames reach _BLOCK_ELEMENTS,
+            # gathered otherwise (a gathered block then holds five too)
+            *rest, (_, copies, _, _) = blocks
+            assert block_frames(plan, copies).tolist() == [21, 22, 23, 24, 25]
+            assert len(copies) == 3
+            assert all(len(c) == 2 for _, c, _, _ in rest)
+            assert isinstance(copies, tuple) == (
+                5 * row >= fusion._BLOCK_ELEMENTS)
     assert_fuse_matches_loop(seg_noise(plan, shape=(1, 2, 2), seed=3), plan)
 
 
@@ -405,17 +425,18 @@ def test_fusion_blocks_weights_sum_to_divisor(geometry, frames_per_block):
     for mode in ("progressive", "uniform"):
         blocks = fusion._fusion_blocks(plan, mode, row)
         # every shared frame sits in exactly one block, in holder-count
-        # order, and no block straddles the halves or exceeds its size
+        # order, and no block straddles the halves; a gathered block
+        # holds at most block frames
         j0s = [j0 for j0, *_ in blocks]
-        sizes = [rows.shape[1] for _, rows, _, _ in blocks]
+        sizes = [block_rows(copies).shape[1] for _, copies, _, _ in blocks]
         assert j0s == [sum(sizes[:i]) for i in range(len(blocks))]
         assert np.concatenate([block_frames(plan, b[1]) for b in blocks]
                               + [[]]).tolist() == shared.tolist()
         half = len(shared) // 2
         for j0, m in zip(j0s, sizes):
-            assert 1 <= m <= block and not j0 < half < j0 + m
-        for j0, rows, w, divisor in blocks:
-            frames = block_frames(plan, rows)
+            assert m >= 1 and not j0 < half < j0 + m
+        for j0, copies, w, divisor in blocks:
+            rows, frames = block_rows(copies), block_frames(plan, copies)
             K, m = rows.shape
             # all frames in a block share one holder count
             assert (held[frames] == K).all()
@@ -423,6 +444,18 @@ def test_fusion_blocks_weights_sum_to_divisor(geometry, frames_per_block):
                 holder = first[frames] + k
                 assert (rows[k] == holder * n + frames
                         - np.asarray(starts)[holder]).all()
+            # in place exactly when the block is one run (consecutive
+            # frames, the same holders) of at least _BLOCK_ELEMENTS
+            # elements; then each holder's slice names consecutive rows
+            one_run = ((np.diff(frames) == 1).all()
+                       and (first[frames] == first[frames[0]]).all())
+            in_place = isinstance(copies, tuple)
+            assert in_place == (one_run and m * row >= fusion._BLOCK_ELEMENTS)
+            if in_place:
+                assert all(s.step is None and s.stop - s.start == m
+                           for s in copies)
+            else:
+                assert m <= block
             if mode == "uniform":
                 assert w is None and divisor.shape == (m, 1)
                 assert (divisor == K).all()
@@ -551,28 +584,50 @@ def test_run_long_denoise_rejects_denoiser_returning_a_value():
                              latent_shape=(1, 2, 2))
 
 
-def test_run_long_denoise_step_allocates_less_than_one_segment():
-    # denoisers update their slot in place and fusion works through
-    # block-sized scratch, so a step's transient arrays stay small
+def step_transients(plan, shape, mode):
+    """Peak tracemalloc growth within each of four long-video steps."""
+    den = make_phase_instance(plan, shape, seed=0)
+    transient = []
+
+    def measure(t, latents):
+        current, peak = tracemalloc.get_traced_memory()
+        transient.append(peak - current)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        run_long_denoise(den, None, plan, 4, mode, seed=0,
+                         latent_shape=shape, on_step=measure)
+    finally:
+        tracemalloc.stop()
+    assert len(transient) == 4
+    return transient
+
+
+def test_run_long_denoise_step_allocates_less_than_one_frame():
+    # denoisers update the stack in place and, at 4x64x64, every overlap
+    # run is long enough to fuse in place on the holders' rows, so a
+    # step allocates no scratch at all
     plan = plan_segments(72, 16, 6)
     shape = (4, 64, 64)
-    segment_bytes = plan.frames_per_segment * math.prod(shape) * 8
     for mode in ("progressive", "uniform"):
-        den = make_phase_instance(plan, shape, seed=0)
-        transient = []
+        assert all(isinstance(copies, tuple) for _, copies, _, _
+                   in fusion._fusion_blocks(plan, mode, math.prod(shape)))
+        transient = step_transients(plan, shape, mode)
+        assert max(transient) < math.prod(shape) * 8, (mode, transient)
 
-        def measure(t, latents):
-            current, peak = tracemalloc.get_traced_memory()
-            transient.append(peak - current)
-            tracemalloc.reset_peak()
 
-        tracemalloc.start()
-        try:
-            run_long_denoise(den, None, plan, 4, mode, seed=0,
-                             latent_shape=shape, on_step=measure)
-        finally:
-            tracemalloc.stop()
-        assert len(transient) == 4
+def test_run_long_denoise_step_allocates_less_than_one_segment():
+    # on 4x8x8 frames every overlap run is short, so fusion gathers
+    # blocks through scratch sized by _BLOCK_ELEMENTS; that still stays
+    # under one 16-frame segment of 4x64x64 latents
+    plan = plan_segments(1200, 16, 6)
+    shape = (4, 8, 8)
+    segment_bytes = plan.frames_per_segment * 4 * 64 * 64 * 8
+    for mode in ("progressive", "uniform"):
+        assert not any(isinstance(copies, tuple) for _, copies, _, _
+                       in fusion._fusion_blocks(plan, mode, math.prod(shape)))
+        transient = step_transients(plan, shape, mode)
         assert max(transient) < segment_bytes, (mode, transient)
 
 
@@ -619,6 +674,10 @@ def test_halves_match_the_stages_run_inline():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "_BLOCK_ELEMENTS", 3 * 2 * 32 * 32)
         mp.setattr(diffusion, "_CHUNK", 1 << 12)
+        # both block kinds: runs of 3 or more frames fuse in place
+        assert {isinstance(copies, tuple) for _, copies, _, _ in
+                fusion._fusion_blocks(plan_segments(40, 16, 6), "progressive",
+                                      2 * 32 * 32)} == {True, False}
         split = {mode: run_phase(mode).tobytes() for mode in FUSION_MODES}
         assert any(t.name == "posefuse-halves" for t in threading.enumerate())
         mp.setattr(diffusion, "_halves", inline_halves)
