@@ -146,13 +146,14 @@ def _holders(plan: SegmentPlan) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-# elements per block of shared frames: a run of at least this many is
-# fused in place, shorter runs are gathered in blocks of up to this many,
-# so a block and its scratch stay cache-sized on each of the two halves;
-# a private constant, not an option
+# elements per block of shared frames, a private constant, not an
+# option: a run of at least this many is one in-place block, with no
+# upper size (the 10-frame tail of a 4x64x64 plan is 163 840 elements
+# per holder); shorter runs are gathered in blocks of up to this many,
+# so a gathered block and its scratch stay cache-sized on each half
 _BLOCK_ELEMENTS = 1 << 15
 
-_Block = tuple[int, np.ndarray | tuple[slice, ...], np.ndarray | None,
+_Block = tuple[int, int, np.ndarray | tuple[slice, ...], np.ndarray | None,
                np.ndarray | None]
 
 
@@ -170,14 +171,15 @@ def _fusion_blocks(plan: SegmentPlan, mode: str,
     consecutive rows of the (S*N, row) stack. Runs end at every change
     of holders and at entry F // 2, so no block straddles the two halves
     ``_halves`` splits the F entries into. A run of at least
-    ``_BLOCK_ELEMENTS`` elements is one in-place block; the entries
-    between those are cut into gathered blocks of at most
+    ``_BLOCK_ELEMENTS`` elements is one in-place block, however long;
+    the entries between those are cut into gathered blocks of at most
     ``_BLOCK_ELEMENTS // row`` entries (at least one), from the start of
-    each stretch and at each change of holder count. The m frames of
-    block (j0, copies, weights, divisor) from entry j0 on have the same
-    K holders. copies is, in segment order, K slices of the stack's rows
-    for an in-place block and a (K, m) array of rows for a gathered one;
-    weights is (K, m, 1) and divisor (m, 1), each None where all are 1.
+    each stretch and at each change of holder count. The m = j1 - j0
+    frames of block (j0, j1, copies, weights, divisor), entries j0 to
+    j1, have the same K holders. copies is, in segment order, K slices
+    of the stack's rows for an in-place block and a (K, m) array of rows
+    for a gathered one; weights is (K, m, 1) and divisor (m, 1), each
+    None where all are 1.
     Built once per fused stack shape, so a step's walk runs no search.
     """
     if mode not in FUSION_MODES:
@@ -198,8 +200,10 @@ def _fusion_blocks(plan: SegmentPlan, mode: str,
         | (np.diff(held) != 0)) + 1).tolist()})
     long_runs = {a: b for a, b in zip(runs, runs[1:])
                  if (b - a) * row >= _BLOCK_ELEMENTS}
-    cuts = sorted({0, F // 2, F, *long_runs, *long_runs.values(),
-                   *(np.flatnonzero(np.diff(held)) + 1).tolist()})
+    # gathered stretches end at a long run, a holder-count change or F // 2
+    ends = set(long_runs.values())
+    cuts = [a for a in runs if a in (0, F // 2, F) or a in long_runs
+            or a in ends or held[a] != held[a - 1]]
     spans = []
     for a, b in zip(cuts, cuts[1:]):
         spans += [(a, b)] if a in long_runs else [
@@ -219,7 +223,7 @@ def _fusion_blocks(plan: SegmentPlan, mode: str,
                                 (ramp[j], 1.0 - ramp[j], 0.0))[..., None]
         else:
             divisor = held[j].astype(np.float64).reshape(-1, 1)
-        blocks.append((j0, copies, weights, divisor))
+        blocks.append((j0, j1, copies, weights, divisor))
     return tuple(blocks)
 
 
@@ -243,13 +247,13 @@ def _fuse_stack(stack: np.ndarray, blocks: tuple[_Block, ...]) -> None:
     and the halves touch disjoint rows.
     """
     rows = stack.reshape(-1, math.prod(stack.shape[2:]))
-    largest = max((c.shape[1] for _, c, _, _ in blocks
+    largest = max((j1 - j0 for j0, j1, c, _, _ in blocks
                    if not isinstance(c, tuple)), default=0)
     scratch = np.empty((2, 2, largest, rows.shape[1]))
 
     def walk(lo: int, hi: int) -> None:
         own = scratch[min(lo, 1)]  # the helper's half starts at entry 0
-        for j0, copies, weights, divisor in blocks:
+        for j0, _, copies, weights, divisor in blocks:
             if not lo <= j0 < hi:
                 continue
             in_place = isinstance(copies, tuple)
@@ -275,14 +279,7 @@ def _fuse_stack(stack: np.ndarray, blocks: tuple[_Block, ...]) -> None:
             else:
                 rows[copies] = value
 
-    _halves(walk, sum(_block_size(c) for _, c, _, _ in blocks))
-
-
-def _block_size(copies: np.ndarray | tuple[slice, ...]) -> int:
-    """Shared frames in a block, from its copies of either kind."""
-    if isinstance(copies, tuple):
-        return copies[0].stop - copies[0].start
-    return copies.shape[1]
+    _halves(walk, blocks[-1][1] if blocks else 0)
 
 
 def fuse_segments(latents: Sequence[np.ndarray], plan: SegmentPlan,

@@ -348,7 +348,7 @@ def assert_fuse_matches_loop(latents, plan):
             if frames_per_block is not None:
                 mp.setattr(fusion, "_BLOCK_ELEMENTS", frames_per_block * row)
             for mode in FUSION_MODES:
-                kinds.update(isinstance(copies, tuple) for _, copies, _, _
+                kinds.update(isinstance(copies, tuple) for _, _, copies, _, _
                              in fusion._fusion_blocks(plan, mode, row))
                 expect = loop_fuse(latents, plan, mode)
                 for got, ref in zip(fuse_segments(latents, plan, mode),
@@ -398,10 +398,10 @@ def test_fuse_blocks_split_three_holder_tail_frames():
             # the three-holder frames fill one block of their own, last:
             # in place where their five frames reach _BLOCK_ELEMENTS,
             # gathered otherwise (a gathered block then holds five too)
-            *rest, (_, copies, _, _) = blocks
+            *rest, (_, _, copies, _, _) = blocks
             assert block_frames(plan, copies).tolist() == [21, 22, 23, 24, 25]
             assert len(copies) == 3
-            assert all(len(c) == 2 for _, c, _, _ in rest)
+            assert all(len(c) == 2 for _, _, c, _, _ in rest)
             assert isinstance(copies, tuple) == (
                 5 * row >= fusion._BLOCK_ELEMENTS)
     assert_fuse_matches_loop(seg_noise(plan, shape=(1, 2, 2), seed=3), plan)
@@ -428,16 +428,17 @@ def test_fusion_blocks_weights_sum_to_divisor(geometry, frames_per_block):
         # order, and no block straddles the halves; a gathered block
         # holds at most block frames
         j0s = [j0 for j0, *_ in blocks]
-        sizes = [block_rows(copies).shape[1] for _, copies, _, _ in blocks]
+        sizes = [j1 - j0 for j0, j1, *_ in blocks]
         assert j0s == [sum(sizes[:i]) for i in range(len(blocks))]
-        assert np.concatenate([block_frames(plan, b[1]) for b in blocks]
+        assert np.concatenate([block_frames(plan, b[2]) for b in blocks]
                               + [[]]).tolist() == shared.tolist()
         half = len(shared) // 2
         for j0, m in zip(j0s, sizes):
             assert m >= 1 and not j0 < half < j0 + m
-        for j0, copies, w, divisor in blocks:
+        for j0, j1, copies, w, divisor in blocks:
             rows, frames = block_rows(copies), block_frames(plan, copies)
             K, m = rows.shape
+            assert m == j1 - j0
             # all frames in a block share one holder count
             assert (held[frames] == K).all()
             for k in range(K):
@@ -611,7 +612,7 @@ def test_run_long_denoise_step_allocates_less_than_one_frame():
     plan = plan_segments(72, 16, 6)
     shape = (4, 64, 64)
     for mode in ("progressive", "uniform"):
-        assert all(isinstance(copies, tuple) for _, copies, _, _
+        assert all(isinstance(copies, tuple) for _, _, copies, _, _
                    in fusion._fusion_blocks(plan, mode, math.prod(shape)))
         transient = step_transients(plan, shape, mode)
         assert max(transient) < math.prod(shape) * 8, (mode, transient)
@@ -625,7 +626,7 @@ def test_run_long_denoise_step_allocates_less_than_one_segment():
     shape = (4, 8, 8)
     segment_bytes = plan.frames_per_segment * 4 * 64 * 64 * 8
     for mode in ("progressive", "uniform"):
-        assert not any(isinstance(copies, tuple) for _, copies, _, _
+        assert not any(isinstance(copies, tuple) for _, _, copies, _, _
                        in fusion._fusion_blocks(plan, mode, math.prod(shape)))
         transient = step_transients(plan, shape, mode)
         assert max(transient) < segment_bytes, (mode, transient)
@@ -675,7 +676,7 @@ def test_halves_match_the_stages_run_inline():
         mp.setattr(fusion, "_BLOCK_ELEMENTS", 3 * 2 * 32 * 32)
         mp.setattr(diffusion, "_CHUNK", 1 << 12)
         # both block kinds: runs of 3 or more frames fuse in place
-        assert {isinstance(copies, tuple) for _, copies, _, _ in
+        assert {isinstance(copies, tuple) for _, _, copies, _, _ in
                 fusion._fusion_blocks(plan_segments(40, 16, 6), "progressive",
                                       2 * 32 * 32)} == {True, False}
         split = {mode: run_phase(mode).tobytes() for mode in FUSION_MODES}
