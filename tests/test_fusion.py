@@ -660,6 +660,15 @@ def inline_halves(fn, n):
     fn(0, n)
 
 
+def counting(halves, sizes):
+    """halves, recording in sizes the n of each call."""
+    def counted(fn, n):
+        sizes.append(n)
+        halves(fn, n)
+
+    return counted
+
+
 def run_phase(mode, seed=3, on_step=None):
     """40 frames of 2x32x32 latents: 4 segments, 22 shared frames."""
     plan = plan_segments(40, 16, 6)
@@ -671,7 +680,9 @@ def run_phase(mode, seed=3, on_step=None):
 
 def test_halves_match_the_stages_run_inline():
     # blocks of 3 shared frames and chunks of 2**12 elements, so each
-    # half walks several blocks and pulls several chunks
+    # half walks several fusion blocks and pulls several chunks; the
+    # chunk size also gives the target build 64-pixel blocks of the 64
+    # slots, 32 in all, so each half builds several blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "_BLOCK_ELEMENTS", 3 * 2 * 32 * 32)
         mp.setattr(diffusion, "_CHUNK", 1 << 12)
@@ -679,7 +690,10 @@ def test_halves_match_the_stages_run_inline():
         assert {isinstance(copies, tuple) for _, _, copies, _, _ in
                 fusion._fusion_blocks(plan_segments(40, 16, 6), "progressive",
                                       2 * 32 * 32)} == {True, False}
+        sizes = []
+        mp.setattr(diffusion, "_halves", counting(diffusion._halves, sizes))
         split = {mode: run_phase(mode).tobytes() for mode in FUSION_MODES}
+        assert sizes[0] == 32  # the first call builds the target
         assert any(t.name == "posefuse-halves" for t in threading.enumerate())
         mp.setattr(diffusion, "_halves", inline_halves)
         mp.setattr(fusion, "_halves", inline_halves)
@@ -1063,20 +1077,34 @@ def test_phase_instance_checks_eta_before_building(monkeypatch):
             make_phase_instance(plan, (4, 64, 64), 0, eta=eta)
 
 
-def test_phase_instance_closed_form_per_segment():
-    plan = plan_segments(36, 16, 6)
-    shape = (2, 3, 3)
-    seed, eta, jitter = 6, 0.35, 0.3
+def test_phase_instance_build_stays_near_its_target():
+    # the build works in the pull's two chunk buffers, so it holds no
+    # whole-target argument array and no second target
+    plan = plan_segments(72, 16, 6)
+    target_bytes = len(plan) * 16 * 4 * 64 * 64 * 8
+    assert target_bytes == 14_680_064
+    tracemalloc.start()
+    try:
+        make_phase_instance(plan, (4, 64, 64), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - target_bytes < 2 << 20, peak
+
+
+def assert_phase_closed_form(plan, shape, seed=6, eta=0.35, jitter=0.3):
+    """The pulled stack's bytes equal the frame-major np.sin expression."""
     den = make_phase_instance(plan, shape, seed, eta=eta, phase_jitter=jitter)
     period = stream_rng(seed, 100).uniform(24.0, 48.0, size=shape)
     pixel_phase = stream_rng(seed, 101).uniform(0.0, 2.0 * math.pi, size=shape)
     seg_phase = stream_rng(seed, 102).uniform(-jitter, jitter, size=len(plan))
+    n = plan.frames_per_segment
     rng = np.random.default_rng(0)
     for t in (25, 7, 1, 25):
-        z = rng.normal(size=(len(plan), 16) + shape)
+        z = rng.normal(size=(len(plan), n) + shape)
         expect = np.empty_like(z)
         for i, (s, _e) in enumerate(plan.segments):
-            frames = s + np.arange(16)
+            frames = s + np.arange(n)
             angle = (2.0 * math.pi * frames[:, None, None, None] / period
                      + pixel_phase + seg_phase[i])
             expect[i] = z[i] + eta * (np.sin(angle) - z[i])
@@ -1084,12 +1112,34 @@ def test_phase_instance_closed_form_per_segment():
         assert z.tobytes() == expect.tobytes()
 
     def pulled(t):
-        z = np.zeros((len(plan), 16) + shape)
+        z = np.zeros((len(plan), n) + shape)
         den(z, Condition(), t)
         return z.tobytes()
 
     # the target does not depend on the step
     assert pulled(25) == pulled(9) == pulled(1)
+
+
+def test_phase_instance_closed_form_per_segment(monkeypatch):
+    # 36 frames: 3 segments, 48 slots; 16: one segment, 16 slots.
+    # (frames, latent, _CHUNK, build blocks of the plan's pixels)
+    cases = [
+        (36, (2, 3, 3), diffusion._CHUNK, 1),
+        (36, (2, 3, 3), 4 * 48, 5),  # 4-pixel blocks: odd count, short last
+        (36, (2, 3, 3), 64, 18),  # one pixel per block
+        (36, (2, 3, 3), 20, 18),  # one pixel in slot pieces of 20, 20, 8
+        (36, (1, 1, 1), diffusion._CHUNK, 1),
+        (36, (1, 1, 1), 20, 1),
+        (16, (2, 3, 3), diffusion._CHUNK, 1),
+        (16, (1, 5, 7), 3 * 16, 12),  # 3-pixel blocks, short last
+    ]
+    for halves in (diffusion._halves, inline_halves):
+        for frames, shape, chunk, blocks in cases:
+            sizes = []
+            monkeypatch.setattr(diffusion, "_CHUNK", chunk)
+            monkeypatch.setattr(diffusion, "_halves", counting(halves, sizes))
+            assert_phase_closed_form(plan_segments(frames, 16, 6), shape)
+            assert sizes[0] == blocks, (frames, shape, chunk)
 
 
 def test_smoother_toy_denoiser_in_loop():
