@@ -409,7 +409,8 @@ def make_phase_instance(plan: SegmentPlan, latent_shape: tuple[int, int, int],
     if not (phase_jitter >= 0 and math.isfinite(2 * phase_jitter)):
         raise ValueError("phase_jitter must be >= 0 with 2 * phase_jitter "
                          "finite")
-    if not 0 < eta <= 1:  # pull_denoiser's check, before any draw
+    # pull_denoiser's check, before any draw; _pull makes none
+    if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     shape = tuple(latent_shape)
     _check_stack_size(plan.total_frames, plan.segment_length,
